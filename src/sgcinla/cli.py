@@ -54,7 +54,7 @@ from .errors import (
 )
 from .lincomb import kld_1d, linear_combination_summary, marginals_1d, transform_moments
 from .mcmc import ChainConfig, run_reference
-from .sampler import marginal_density_estimate, sample_joint, summarize
+from .sampler import kernel_density, marginal_density_estimate, sample_joint, summarize
 from .sgc import CorrectionKind, as_kind
 from .skewnormal import (
     default_table,
@@ -118,8 +118,6 @@ def cmd_fit(args) -> int:
     started = time.perf_counter()
     fit = fit_model(spec)
     elapsed = time.perf_counter() - started
-    for message in fit.warnings:
-        log.warning(message)
 
     out = _out_dir(args)
     artifacts.save_fit(out / FIT_FILENAME, fit)
@@ -215,11 +213,10 @@ def cmd_lincomb(args) -> int:
         with open(out / "lincomb-kld.csv", "w", newline="") as handle:
             handle.write("name,kld\n")
             for i, curve in enumerate(curves):
-                kde = stats.gaussian_kde(projected[:, i], bw_method="silverman")
                 lo = max(curve.xs[0], projected[:, i].min())
                 hi = min(curve.xs[-1], projected[:, i].max())
                 xs = np.linspace(lo, hi, 401)
-                value = kld_1d(xs, _sn_density(joint, i, xs), kde(xs))
+                value = kld_1d(xs, _sn_density(joint, i, xs), kernel_density(projected[:, i], xs))
                 handle.write(f"{curve.name},{float(value)!r}\n")
         print(
             f"lincomb: sampling path with {args.count} draws {sample_seconds * 1e3:.1f} ms, "
@@ -287,13 +284,12 @@ def cmd_compare_mcmc(args) -> int:
         for i in indices:
             name = fit.names[i]
             oracle = latent[:, i]
-            kde_oracle = stats.gaussian_kde(oracle, bw_method="silverman")
             sets = (oracle, mean_samples.draws[:, i], skew_samples.draws[:, i])
             lo = min(np.quantile(s, 0.001) for s in sets)
             hi = max(np.quantile(s, 0.999) for s in sets)
             xs = np.linspace(lo, hi, 401)
 
-            curve_oracle = kde_oracle(xs)
+            curve_oracle = kernel_density(oracle, xs)
             curve_mean = marginal_density_estimate(mean_samples, i, xs)
             curve_skew = marginal_density_estimate(skew_samples, i, xs)
             curve_refined = fit.marginal_density(i, xs)
@@ -310,7 +306,7 @@ def cmd_compare_mcmc(args) -> int:
                 header,
                 (
                     txs,
-                    kde_oracle(txs),
+                    kernel_density(oracle, txs),
                     marginal_density_estimate(mean_samples, i, txs),
                     marginal_density_estimate(skew_samples, i, txs),
                     fit.marginal_density(i, txs),

@@ -25,19 +25,16 @@ from scipy.interpolate import CubicSpline
 
 from .errors import IndexOutOfRange, ModeSearchFailure, NoConvergence
 from .gmrf import (
+    _LOG_2PI,
     LinearConstraint,
     PrecisionMatrix,
     apply_constraints,
     covariance_from_precision,
 )
 from .model import ModelSpec, assemble_precision
+from .skewnormal import GAMMA_CLAMP
 
 logger = logging.getLogger(__name__)
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
-#: Skewness clamp applied to refined marginals (tabulated-map range).
-GAMMA_CLAMP = 0.99
 
 
 @dataclass
@@ -398,7 +395,8 @@ def refine_marginal(
     to the tabulated range [-0.99, 0.99].
 
     Nodes whose inner Newton fails are dropped; if more than 20% drop the
-    result is flagged.
+    result is flagged.  Nothing is logged here: the caller reports the flag,
+    as fit_model does once per event.
     """
     if not 0 <= i < spec.n_latent:
         raise IndexOutOfRange(f"component {i} outside the latent field")
@@ -434,8 +432,6 @@ def refine_marginal(
     if good.sum() < 4:
         raise NoConvergence(f"marginal refinement for component {i} lost too many nodes")
     flagged = dropped > 0.2 * nodes.size
-    if flagged:
-        logger.warning("component %d: %d of %d refinement nodes dropped", i, dropped, nodes.size)
 
     spline = CubicSpline(nodes[good], log_vals[good] - np.max(log_vals[good]))
     xs = np.linspace(nodes[good][0], nodes[good][-1], fine)

@@ -18,6 +18,9 @@ from scipy import linalg
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficientConstraint
 from .rng import SALT_GMRF, stream
 
+#: log(2 pi), the normalizing constant of every Gaussian log density.
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
 # Relative asymmetry beyond this is treated as a construction error rather
 # than round-off to be averaged away.
 _ASYMMETRY_TOL = 1e-8

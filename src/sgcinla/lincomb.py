@@ -20,13 +20,9 @@ import numpy as np
 
 from .engine import FitResult
 from .errors import DimensionMismatch, SupportMismatch
-from .skewnormal import SkewNormalParams, sn_params_from_moments, sn_pdf_rows
+from .skewnormal import GAMMA_CLAMP, SkewNormalParams, sn_params_from_moments, sn_pdf_rows
 
 logger = logging.getLogger(__name__)
-
-#: Mixture skewness occasionally lands outside the skew-normal range;
-#: matched margins clamp it here and count the event.
-SKEW_LIMIT = 0.99
 
 
 @dataclass
@@ -48,10 +44,10 @@ class JointMomentSummary:
 
 
 def _clamp_skewness(skew: np.ndarray) -> tuple[np.ndarray, int]:
-    clipped = np.clip(skew, -SKEW_LIMIT, SKEW_LIMIT)
+    clipped = np.clip(skew, -GAMMA_CLAMP, GAMMA_CLAMP)
     count = int(np.count_nonzero(clipped != skew))
     if count:
-        logger.warning("%d marginal skewness values clamped to +-%.2f", count, SKEW_LIMIT)
+        logger.warning("%d marginal skewness values clamped to +-%.2f", count, GAMMA_CLAMP)
     return clipped, count
 
 

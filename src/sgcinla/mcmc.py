@@ -23,10 +23,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import InsufficientSamples
+from .gmrf import _LOG_2PI
 from .model import ModelSpec
 from .rng import SALT_MCMC_BASE, stream
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,12 @@ import numpy as np
 from scipy.special import expit, gammaln
 
 from .errors import DimensionMismatch, DomainError, InvalidSpec
-from .gmrf import LinearConstraint, PrecisionMatrix
+from .gmrf import _LOG_2PI, LinearConstraint, PrecisionMatrix
 
 #: Default predictor-noise precision exp(15); large enough that the jitter is
 #: negligible against any realistic posterior scale, small enough that the
 #: joint precision stays comfortably factorizable in double precision.
 DEFAULT_TAU_EPSILON = float(np.exp(15.0))
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class GaussianLikelihood:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import BoundaryEvaluation, DimensionMismatch, InvalidSpec, SkewnessOutOfRange
-from .gmrf import PrecisionMatrix, covariance_from_precision, sample_gmrf
+from .gmrf import _LOG_2PI, PrecisionMatrix, covariance_from_precision, sample_gmrf
 from .rng import SALT_GMRF
 from .skewnormal import (
     GAMMA_ATTAINABLE,
@@ -36,8 +36,6 @@ from .skewnormal import (
     sn_pdf,
     standardized_map_direct,
 )
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 #: Evaluations whose marginal cdf lands inside these bounds are usable;
 #: values closer to 0 or 1 are clipped (and counted) before the probit.

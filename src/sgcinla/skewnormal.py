@@ -37,7 +37,8 @@ _HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
 #: Largest skewness a skew-normal can represent (delta -> 1 limit).
 GAMMA_ATTAINABLE = float(np.sqrt(2.0) * (4.0 - np.pi) / (np.pi - 2.0) ** 1.5)
 
-#: Working clamp used throughout the package; slightly inside the bound.
+#: Working clamp used throughout the package (table range, refined marginals,
+#: matched linear-combination margins); slightly inside the bound.
 GAMMA_CLAMP = 0.99
 
 

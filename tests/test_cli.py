@@ -1,15 +1,18 @@
 """Command-line pipeline: verbs, outputs and exit codes."""
 
+import collections
 import csv
 import json
+import logging
 import time
 
 import numpy as np
 import pytest
 
-from sgcinla import rng
+from sgcinla import engine, rng
 from sgcinla.artifacts import SUMMARY_COLUMNS, load_fit, read_manifest
 from sgcinla.cli import main
+from sgcinla.errors import NoConvergence
 from sgcinla.lincomb import subset_moments
 
 
@@ -76,6 +79,31 @@ def test_fit_reports_single_point_grid(gaussian_run, capsys, tmp_path):
     out = tmp_path / "flat"
     assert main(["fit", "--config", str(config), "--out", str(out)]) == 0
     assert "K=1" in capsys.readouterr().out
+
+
+def test_fit_logs_each_refinement_warning_once(tmp_path, monkeypatch, caplog):
+    # a single count with no groups has a one-point grid and two components;
+    # nodes are solved centre first, so component 0 loses its two outermost
+    # nodes (flagged) and component 1 all but three (refinement skipped)
+    real = engine._conditional_mode
+    calls = collections.Counter()
+
+    def failing(spec, q, i, value, x_start, **kwargs):
+        calls[i] += 1
+        if calls[i] > (7 if i == 0 else 3):
+            raise NoConvergence("forced failure")
+        return real(spec, q, i, value, x_start, **kwargs)
+
+    monkeypatch.setattr(engine, "_conditional_mode", failing)
+    config = tmp_path / "one.json"
+    config.write_text(json.dumps({"family": "poisson", "data": {"y": [3]}, "tau_beta": 1.0}))
+    with caplog.at_level(logging.WARNING):
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    messages = [record.getMessage() for record in caplog.records]
+    assert sorted(messages) == [
+        "component 0 at grid point 0: 2 refinement nodes dropped",
+        "refinement skipped for component 1 at grid point 0",
+    ]
 
 
 def test_fit_bad_config_exit_code(tmp_path, capsys):

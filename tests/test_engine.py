@@ -1,5 +1,7 @@
 """Mode finding, hyperparameter grids and marginal refinement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
@@ -337,3 +339,25 @@ def test_fit_result_grid_point_bounds():
     assert isinstance(fit, FitResult)
     with pytest.raises(IndexOutOfRange):
         fit.sgc(5)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "known defect: fits move with round-off.  Relabelling the groups moves the "
+        "grid weights of this fixture by 2.6e-3 and its means and sds by about 2e-3; "
+        "on the N=61 Poisson acceptance fixture it moves the weights by 0.020 and "
+        "gamma by 0.30"
+    ),
+)
+def test_fit_invariant_to_group_relabelling():
+    spec = gaussian_mixed()
+    perm = np.array([3, 0, 4, 1, 2])
+    a, b = fit_model(spec), fit_model(dataclasses.replace(spec, group=perm[spec.group]))
+    # group g of the first fit is group perm[g] of the second
+    base = spec.n_latent - perm.size
+    order = np.concatenate([np.arange(base), base + perm])
+    assert a.n_config == b.n_config
+    np.testing.assert_allclose(b.weights, a.weights, rtol=0, atol=1e-6)
+    for name in ("mutilde", "sigma", "gamma"):
+        np.testing.assert_allclose(getattr(b, name)[:, order], getattr(a, name), rtol=0, atol=1e-6)

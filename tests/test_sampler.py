@@ -1,18 +1,25 @@
 """Mixture sampling over the hyperparameter grid and posterior summaries."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from sgcinla import rng
 from sgcinla.engine import fit_model
 from sgcinla.errors import InsufficientSamples
 from sgcinla.model import ModelSpec, make_family
 from sgcinla.sampler import (
+    JointSamples,
     _assign_configs,
+    kernel_density,
     marginal_density_estimate,
     sample_joint,
     summarize,
 )
+from sgcinla.sgc import CorrectionKind
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +117,74 @@ def test_marginal_density_estimate_normalizes(poisson_fit):
     small = sample_joint(poisson_fit, 200, seed=13)
     with pytest.raises(InsufficientSamples):
         marginal_density_estimate(small, 0, xs)
+
+
+def _as_samples(draws: np.ndarray) -> JointSamples:
+    names = tuple(f"x{i}" for i in range(draws.shape[1]))
+    config = np.zeros(draws.shape[0], dtype=int)
+    return JointSamples(draws=draws, config=config, names=names, kind=CorrectionKind.SKEW, seed=0)
+
+
+def _scipy_mode(x: np.ndarray, points: int = 512) -> float:
+    """The summary mode as scipy's kernel density locates it."""
+    lo, hi = float(np.min(x)), float(np.max(x))
+    if hi == lo:
+        return lo
+    pad = 0.05 * (hi - lo)
+    grid = np.linspace(lo - pad, hi + pad, points)
+    return float(grid[np.argmax(stats.gaussian_kde(x, bw_method="silverman")(grid))])
+
+
+def _columns():
+    gen = rng.stream(404)
+    return {
+        "skewed": gen.gamma(2.0, size=20000),
+        "bimodal": np.concatenate([gen.normal(-2.0, 0.5, 6000), gen.normal(3.0, 1.0, 4000)]),
+        "min-count": gen.normal(size=100),
+        "constant": np.full(500, 1.5),
+    }
+
+
+def test_summary_modes_equal_scipy_argmax_on_fit(poisson_fit):
+    js = sample_joint(poisson_fit, 5000, seed=13)
+    expected = [_scipy_mode(js.draws[:, i]) for i in range(js.dim)]
+    np.testing.assert_array_equal(summarize(js).mode, expected)
+
+
+@pytest.mark.parametrize("name", ["skewed", "bimodal", "min-count", "constant"])
+def test_summary_mode_equals_scipy_argmax(name):
+    x = _columns()[name]
+    assert summarize(_as_samples(x[:, None])).mode[0] == _scipy_mode(x)
+
+
+@pytest.mark.parametrize("name", ["skewed", "bimodal", "min-count", "long"])
+def test_kernel_density_matches_scipy(name):
+    # "long" has more draws within reach of its central points than one
+    # evaluation block holds, so their sums span blocks
+    x = rng.stream(405).normal(size=100_000) if name == "long" else _columns()[name]
+    xs = np.linspace(x.min() - 1.0, x.max() + 1.0, 401)
+    expected = stats.gaussian_kde(x, bw_method="silverman")(xs)
+    got = kernel_density(x, xs)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * expected.max()
+
+
+def test_kernel_density_rejects_constant_draws():
+    with pytest.raises(InsufficientSamples):
+        kernel_density(np.full(500, 1.5), np.linspace(0.0, 3.0, 7))
+
+
+def test_summarize_leaves_no_reference_cycle():
+    # without cycles the draws are freed on del, with the cyclic collector off
+    draws = rng.stream(3).normal(size=(2000, 3))
+    alive = weakref.ref(draws)
+    samples = _as_samples(draws)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        summarize(samples)
+        marginal_density_estimate(samples, 0, np.linspace(-3.0, 3.0, 61))
+        del samples, draws
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
