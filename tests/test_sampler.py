@@ -10,6 +10,7 @@ from scipy import stats
 from sgcinla import rng
 from sgcinla.engine import fit_model
 from sgcinla.errors import InsufficientSamples
+from sgcinla.lincomb import kld_1d
 from sgcinla.model import ModelSpec, make_family
 from sgcinla.sampler import (
     JointSamples,
@@ -157,15 +158,32 @@ def test_summary_mode_equals_scipy_argmax(name):
     assert summarize(_as_samples(x[:, None])).mode[0] == _scipy_mode(x)
 
 
-@pytest.mark.parametrize("name", ["skewed", "bimodal", "min-count", "long"])
+@pytest.mark.parametrize("name", ["skewed", "bimodal", "min-count", "long", "scalar"])
 def test_kernel_density_matches_scipy(name):
-    # "long" has more draws within reach of its central points than one
-    # evaluation block holds, so their sums span blocks
-    x = rng.stream(405).normal(size=100_000) if name == "long" else _columns()[name]
-    xs = np.linspace(x.min() - 1.0, x.max() + 1.0, 401)
+    if name == "long":
+        x = rng.stream(405).normal(size=100_000)
+    else:
+        x = _columns()["skewed" if name == "scalar" else name]
+    xs = 2.0 if name == "scalar" else np.linspace(x.min() - 1.0, x.max() + 1.0, 401)
     expected = stats.gaussian_kde(x, bw_method="silverman")(xs)
     got = kernel_density(x, xs)
+    assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) <= 1e-12 * expected.max()
+
+
+def test_kernel_density_far_outside_the_draws():
+    # the grid's ends lie about 25 bandwidths beyond the extreme draws, where
+    # the nearest draws' kernel terms are tiny but not zero
+    x = rng.stream(406).normal(size=10_000)
+    xs = np.linspace(-8.0, 8.0, 401)
+    h = (0.75 * x.size) ** -0.2 * np.std(x, ddof=1)
+    assert xs[0] < x.min() - 9.0 * h and xs[-1] > x.max() + 9.0 * h
+    expected = stats.gaussian_kde(x, bw_method="silverman")(xs)
+    got = kernel_density(x, xs)
+    assert np.all(expected > 0) and np.all(got > 0)
+    np.testing.assert_allclose(got, expected, rtol=1e-9)
+    value = kld_1d(xs, stats.norm.pdf(xs), got)
+    assert np.isfinite(value) and value >= 0.0
 
 
 def test_kernel_density_rejects_constant_draws():
