@@ -336,7 +336,15 @@ def _conditional_mode(
 
     Damped Newton on the reduced system; returns (x, log_det of the reduced
     curvature at the mode, objective value).  Raises NoConvergence when the
-    iteration budget runs out.
+    iteration budget runs out, or when the curvature at the mode is not
+    positive definite.
+
+    Each step factors the reduced curvature once: an LU solve for the Newton
+    step while the gradient is above ``grad_tol``, and a Cholesky for the
+    log-determinant only at the mode.  Checking positive definiteness at the
+    mode alone suffices because every supported likelihood is log-concave in
+    eta (its d2 <= 0), so each reduced curvature is a principal submatrix of
+    the SPD prior precision plus a nonnegative diagonal, hence SPD.
     """
     n = spec.n_obs
     mask = np.ones(spec.n_latent, dtype=bool)
@@ -353,16 +361,18 @@ def _conditional_mode(
         curv = np.zeros(spec.n_latent)
         curv[:n] = -d2
         h_sub = q_sub + np.diag(curv[mask])
-        try:
-            low = np.linalg.cholesky(h_sub)
-        except np.linalg.LinAlgError:
-            raise NoConvergence("reduced curvature not positive definite") from None
-        step_sub = np.linalg.solve(h_sub, grad)
 
         if np.max(np.abs(grad)) <= grad_tol:
+            try:
+                low = np.linalg.cholesky(h_sub)
+            except np.linalg.LinAlgError:
+                raise NoConvergence("reduced curvature not positive definite") from None
             log_det = 2.0 * float(np.sum(np.log(np.diag(low))))
             return x, log_det, value_obj
 
+        # LU, not the Cholesky factor: another solve changes the round-off,
+        # and with it which refinement nodes stall and drop
+        step_sub = np.linalg.solve(h_sub, grad)
         scale = 1.0
         for _ in range(11):
             cand = x.copy()
@@ -476,6 +486,7 @@ class FitResult:
     gamma: np.ndarray
     names: list[str]
     warnings: list[str] = field(default_factory=list)
+    _covariance_stack: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_config(self) -> int:
@@ -487,11 +498,9 @@ class FitResult:
 
     def covariance_stack(self) -> np.ndarray:
         """(K, N, N) dense covariances of all grid configurations, cached."""
-        stack = getattr(self, "_covariance_stack", None)
-        if stack is None:
-            stack = np.stack([ga.covariance() for ga in self.approximations])
-            self._covariance_stack = stack
-        return stack
+        if self._covariance_stack is None:
+            self._covariance_stack = np.stack([ga.covariance() for ga in self.approximations])
+        return self._covariance_stack
 
     def sgc(self, k: int):
         """Skew-corrected full conditional approximation at grid point k."""

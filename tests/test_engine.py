@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from sgcinla import rng
+from sgcinla import engine, rng
+from sgcinla.artifacts import save_fit
 from sgcinla.engine import (
     FitResult,
     GridPoint,
+    _conditional_mode,
     _grid_from_logpost,
     explore_grid,
     fit_model,
@@ -61,6 +63,15 @@ def poisson_mixed():
     u = gen.normal(size=6) * 0.8
     y = gen.poisson(np.exp(0.4 + u[grp])).astype(float)
     return ModelSpec(make_family("poisson"), y=y, group=grp, tau_beta=0.5)
+
+
+def poisson_61():
+    """The N=61 Poisson random-intercept fixture of the acceptance tests."""
+    gen = rng.stream(51)
+    grp = np.repeat(np.arange(10), 5)
+    u = gen.normal(size=10) * 1.5
+    y = gen.poisson(np.exp(u[grp])).astype(float)
+    return ModelSpec(make_family("poisson"), y=y, group=grp, tau_beta=0.5, re_prior=(1.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +297,104 @@ def test_refinement_tracks_poisson_quadrature():
     assert abs(ref.mean - m1) < 0.1 * abs(ga.mean[0] - m1)
 
 
+def _conditional_mode_factoring_every_step(
+    spec, q, i, value, x_start, max_iter=30, grad_tol=1e-8
+):
+    """Reference copy of the conditional-mode loop that factors the reduced
+    curvature twice on every step: a Cholesky (kept for the log-determinant)
+    and an LU solve (for the Newton step), before testing the gradient."""
+    n = spec.n_obs
+    mask = np.ones(spec.n_latent, dtype=bool)
+    mask[i] = False
+    q_sub = q.matrix[np.ix_(mask, mask)]
+
+    x = np.array(x_start, dtype=float)
+    x[i] = value
+    value_obj, d1, d2 = engine._objective_terms(spec, x, q)
+    for _ in range(max_iter):
+        grad_full = -(q.matrix @ x)
+        grad_full[:n] += d1
+        grad = grad_full[mask]
+        curv = np.zeros(spec.n_latent)
+        curv[:n] = -d2
+        h_sub = q_sub + np.diag(curv[mask])
+        try:
+            low = np.linalg.cholesky(h_sub)
+        except np.linalg.LinAlgError:
+            raise NoConvergence("reduced curvature not positive definite") from None
+        step_sub = np.linalg.solve(h_sub, grad)
+
+        if np.max(np.abs(grad)) <= grad_tol:
+            log_det = 2.0 * float(np.sum(np.log(np.diag(low))))
+            return x, log_det, value_obj
+
+        scale = 1.0
+        for _ in range(11):
+            cand = x.copy()
+            cand[mask] += scale * step_sub
+            cand_value, cand_d1, cand_d2 = engine._objective_terms(spec, cand, q)
+            if cand_value >= value_obj:
+                break
+            scale *= 0.5
+        x, value_obj, d1, d2 = cand, cand_value, cand_d1, cand_d2
+    raise NoConvergence(f"conditional mode search for component {i} did not converge")
+
+
+def test_conditional_mode_matches_per_step_factoring(monkeypatch):
+    spec = poisson_61()
+    theta = explore_grid(spec)[0].theta
+    ga = gaussian_approximation(spec, theta)
+    q, mu, sd = ga.prior_precision, ga.mean, ga.marginal_sd()
+    max_iter = 30
+
+    calls = {"cholesky": 0, "solve": 0}
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky"))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve"))
+
+    def run(search, i, value):
+        calls.update(cholesky=0, solve=0)
+        try:
+            out = search(spec, q, i, value, mu, max_iter=max_iter)
+        except NoConvergence:
+            out = None
+        return out, dict(calls)
+
+    outcomes = {"converged": 0, "failed": 0}
+    # the intercept, one observation and two group effects; nodes as in
+    # refine_marginal, warm-started from the mode so some run out of iterations
+    for i in (0, spec.n_obs, spec.n_obs + 1, spec.n_obs + 7):
+        for j in range(-4, 5):
+            value = mu[i] + j * 0.875 * sd[i]
+            want, oracle_calls = run(_conditional_mode_factoring_every_step, i, value)
+            got, new_calls = run(_conditional_mode, i, value)
+            if want is None:
+                assert got is None, (i, j)
+                assert oracle_calls == {"cholesky": max_iter, "solve": max_iter}
+                assert new_calls == {"cholesky": 0, "solve": max_iter}
+                outcomes["failed"] += 1
+                continue
+            assert got is not None, (i, j)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+            assert got[2] == want[2]
+            # the oracle factors every step and the mode; steps taken = its calls - 1
+            steps = oracle_calls["cholesky"] - 1
+            assert new_calls == {"cholesky": 1, "solve": steps}
+            outcomes["converged"] += 1
+    assert outcomes["failed"] >= 1
+    assert outcomes["converged"] >= 30
+
+
 def test_refinement_index_bounds():
     spec = poisson_one_node()
     ga = gaussian_approximation(spec)
@@ -339,6 +448,19 @@ def test_fit_result_grid_point_bounds():
     assert isinstance(fit, FitResult)
     with pytest.raises(IndexOutOfRange):
         fit.sgc(5)
+
+
+def test_covariance_stack_is_a_declared_cache(tmp_path):
+    fit = fit_model(poisson_mixed(), refine=False)
+    assert fit._covariance_stack is None
+    save_fit(tmp_path / "before.bin", fit)
+    stack = fit.covariance_stack()
+    assert stack is fit.covariance_stack()
+    for k, ga in enumerate(fit.approximations):
+        assert np.array_equal(stack[k], ga.covariance())
+    assert "_covariance_stack" not in repr(fit)
+    save_fit(tmp_path / "after.bin", fit)
+    assert (tmp_path / "after.bin").read_bytes() == (tmp_path / "before.bin").read_bytes()
 
 
 @pytest.mark.xfail(

@@ -234,3 +234,23 @@ def test_log_prior_theta_is_gamma_with_jacobian():
     for t in (-1.0, 0.0, 2.0):
         ref = gamma_dist(a, scale=1.0 / b).logpdf(np.exp(t)) + t
         assert abs(spec.log_prior_theta([t]) - ref) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "family,kwargs,y,trials",
+    [
+        ("gaussian", {"tau": 2.5}, np.array([0.3, -1.2, 4.0]), None),
+        ("poisson", {}, np.array([0.0, 3.0, 11.0]), None),
+        ("binomial", {}, np.array([0.0, 1.0, 1.0]), None),
+        ("binomial", {}, np.array([0.0, 2.0, 7.0]), np.array([3.0, 5.0, 7.0])),
+    ],
+)
+def test_loglik_is_concave_in_eta(family, kwargs, y, trials):
+    # every reduced Newton curvature is then a principal submatrix of the SPD
+    # prior precision plus a nonnegative diagonal, so it is SPD as well
+    fam = make_family(family, **kwargs)
+    eta = np.linspace(-30.0, 30.0, 6001)
+    for k in range(y.size):
+        m = None if trials is None else np.full_like(eta, trials[k])
+        _, _, d2, _ = fam.loglik(np.full_like(eta, y[k]), eta, m)
+        assert np.all(d2 <= 0.0)

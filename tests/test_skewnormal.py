@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import skewnorm
@@ -59,6 +61,20 @@ def test_moment_round_trip():
         assert abs(m - mean) < 1e-9
         assert abs(v - var) < 1e-9
         assert abs(g - skew) < 1e-9
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    mean=st.floats(-1e100, 1e100),
+    var=st.floats(1e-100, 1e100),
+    skew=st.floats(-0.995, 0.995),
+)
+def test_moment_maps_invert_each_other(mean, var, skew):
+    m, v, g = sn_moments_from_params(sn_params_from_moments(mean, var, skew))
+    # the mean cannot come back closer than its own float resolution
+    assert abs(m - mean) <= 1e-12 * (np.sqrt(var) + abs(mean))
+    assert abs(v - var) <= 1e-12 * var
+    assert abs(g - skew) <= 1e-12
 
 
 def test_skewness_bound_enforced():
