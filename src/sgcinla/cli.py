@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import __version__, artifacts, rng
 from .engine import fit_model
@@ -370,6 +369,10 @@ def run_quantile_benchmark(points: int = 1_000_000, reps: int = 100, seed: int =
     indicative timings, so they run a reduced count (scipy's cdf integrates
     per point and would otherwise dominate the whole benchmark).
     """
+    # imported here, not at module level: scipy.stats adds about 0.5 s to
+    # every cold start and only this oracle uses it
+    from scipy import stats
+
     gen = rng.stream(seed, salt=rng.SALT_BENCH)
     params = standardized_params(0.5)
     x = gen.uniform(-4.0, 4.0, size=points)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .engine import FitResult
 from .errors import InsufficientSamples
@@ -158,6 +157,21 @@ def _kde_mode(x: np.ndarray, points: int = 512) -> float:
     return float(grid[np.argmax(kernel_density(x, grid))])
 
 
+def _skewness(draws: np.ndarray) -> np.ndarray:
+    """Biased sample skewness m3 / m2**1.5 per column, NaN for a constant column.
+
+    The same arithmetic as ``scipy.stats.skew(draws, axis=0)``, so the values
+    are identical, without importing ``scipy.stats``.
+    """
+    mean = draws.mean(axis=0, keepdims=True)
+    d = draws - mean
+    m2 = np.mean(d**2, axis=0)
+    m3 = np.mean(d**2 * d, axis=0)
+    with np.errstate(all="ignore"):
+        zero = m2 <= (np.finfo(m2.dtype).eps * mean[0]) ** 2
+        return np.where(zero, np.nan, m3 / m2**1.5)
+
+
 def summarize(samples: JointSamples, min_count: int = 100) -> PosteriorSummary:
     """Means, sds, central quantiles, kernel modes and skewness per component."""
     if samples.count < min_count:
@@ -174,7 +188,7 @@ def summarize(samples: JointSamples, min_count: int = 100) -> PosteriorSummary:
         q50=q[1],
         q975=q[2],
         mode=np.array([_kde_mode(draws[:, i]) for i in range(samples.dim)]),
-        skewness=stats.skew(draws, axis=0),
+        skewness=_skewness(draws),
     )
 
 

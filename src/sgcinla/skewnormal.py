@@ -20,8 +20,6 @@ to the grid resolution (0.01) on lookup.
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -140,18 +138,55 @@ def sn_cdf(params: SkewNormalParams, x):
     return np.clip(out, 0.0, 1.0)
 
 
+def _take(params: SkewNormalParams, idx) -> SkewNormalParams:
+    """The parameters of the elements ``idx``; scalar parameters stay scalar."""
+    if np.ndim(params.xi) == 0:
+        return params
+    return SkewNormalParams(params.xi[idx], params.omega[idx], params.alpha[idx])
+
+
+def _start_moments(params: SkewNormalParams):
+    """Mean and variance of each element's skew-normal, as the scalar map gives them.
+
+    Array parameters go through the scalar moment map once per distinct
+    triple: the 0-d path squares with libm ``pow``, which rounds differently
+    from an array square for about one input in a thousand.
+    """
+    if np.ndim(params.xi) == 0:
+        mean, variance, _ = sn_moments_from_params(params)
+        return mean, variance
+    triples, inverse = np.unique(
+        np.stack([params.xi, params.omega, params.alpha], axis=-1),
+        axis=0,
+        return_inverse=True,
+    )
+    moments = np.array(
+        [sn_moments_from_params(SkewNormalParams(*map(float, t)))[:2] for t in triples]
+    ).reshape(-1, 2)
+    return moments[inverse, 0], moments[inverse, 1]
+
+
 def sn_quantile(params: SkewNormalParams, q, tol: float = 1e-12, max_iter: int = 80):
     """Quantile by safeguarded Newton iteration, vectorized in q.
 
     Newton steps on the cdf are kept inside a shrinking bisection bracket,
     so convergence is monotone even far in the tails.  Accuracy is at the
     1e-12 level in x for probabilities away from the extreme tails.
+
+    ``params`` holds scalars, or arrays the shape of ``q`` with one triple per
+    level.  Every element takes the same steps and stopping test as it would
+    alone, so each result is bit-identical to a scalar solve of that element.
     """
     q = np.asarray(q, dtype=float)
     single = q.ndim == 0
     qv = np.ravel(q).astype(float)
     if np.any((qv <= 0.0) | (qv >= 1.0)):
         raise ValueError("quantile levels must lie strictly inside (0, 1)")
+    if np.ndim(params.xi) != 0:
+        fields = (params.xi, params.omega, params.alpha)
+        if any(np.shape(v) != q.shape for v in fields):
+            raise DimensionMismatch("array parameters must match the levels in shape")
+        params = SkewNormalParams(*(np.ravel(v) for v in fields))
 
     lo = np.full_like(qv, params.xi - 9.0 * params.omega)
     hi = np.full_like(qv, params.xi + 9.0 * params.omega)
@@ -167,15 +202,16 @@ def sn_quantile(params: SkewNormalParams, q, tol: float = 1e-12, max_iter: int =
 
     # start from the moment-matched normal quantile, then Newton with a
     # bisection safeguard: steps leaving the bracket fall back to its middle
-    mean, variance, _ = sn_moments_from_params(params)
+    mean, variance = _start_moments(params)
     x = np.clip(mean + np.sqrt(variance) * ndtri(qv), lo + 1e-12, hi - 1e-12)
     active = np.arange(x.size)
     for _ in range(max_iter):
         xa = x[active]
-        f = sn_cdf(params, xa) - qv[active]
+        pa = _take(params, active)
+        f = sn_cdf(pa, xa) - qv[active]
         lo_a = np.where(f < 0.0, xa, lo[active])
         hi_a = np.where(f >= 0.0, xa, hi[active])
-        dens = sn_pdf(params, xa)
+        dens = sn_pdf(pa, xa)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(dens > 0.0, f / dens, np.inf)
         cand = xa - step
@@ -225,10 +261,6 @@ def standardized_map_direct(gamma, z):
 # tabulated fast map
 # ---------------------------------------------------------------------------
 
-_TABLE_MAGIC = b"SNQT"
-_TABLE_VERSION = 1
-
-
 def _default_nodes(z_max: float, n_nodes: int) -> np.ndarray:
     """Node layout: equispaced core on [-3.5, 3.5] plus sparse tail nodes."""
     tail = np.array([4.0, 5.0, 6.0])
@@ -274,16 +306,21 @@ class QuantileTable:
         z_max: float = 6.0,
         n_nodes: int = 61,
     ) -> "QuantileTable":
-        """Build the table by exact quantile solves at every (gamma, node)."""
+        """Build the table by exact quantile solves at every (gamma, node).
+
+        All rows are solved in one vectorized ``sn_quantile`` call, each level
+        with its row's scalar parameters, so every value is bit-identical to
+        ``standardized_map_direct(gamma, nodes)``.  The gamma = 0 row is
+        ``nodes`` itself.
+        """
         half = int(round(gamma_max / gamma_step))
         nodes = _default_nodes(z_max, n_nodes)
-        values = np.empty((2 * half + 1, nodes.size))
-        for i in range(-half, half + 1):
-            g = i * gamma_step
-            if i == 0:
-                values[half] = nodes
-            else:
-                values[i + half] = standardized_map_direct(float(g), nodes)
+        rows = [standardized_params(float(i * gamma_step)) for i in range(-half, half + 1) if i]
+        per_level = SkewNormalParams(
+            *(np.repeat([getattr(p, f) for p in rows], nodes.size) for f in ("xi", "omega", "alpha"))
+        )
+        solved = sn_quantile(per_level, np.tile(ndtr(nodes), len(rows)))
+        values = np.insert(solved.reshape(len(rows), nodes.size), half, nodes, axis=0)
         return cls(gamma_step, nodes, values)
 
     # -- lookup ----------------------------------------------------------
@@ -411,51 +448,3 @@ def fast_map(table: QuantileTable, z, gamma):
     if g.shape != z.shape:
         raise DimensionMismatch("gamma array must match z in shape")
     return table.map_mixed(table.index_of(g), z)
-
-
-# -- persistence --------------------------------------------------------
-
-def save_table(table: QuantileTable, path) -> None:
-    """Write a table cache: magic, version, grid spec, node and value arrays."""
-    buf = io.BytesIO()
-    buf.write(_TABLE_MAGIC)
-    buf.write(struct.pack("<IdII", _TABLE_VERSION, table.gamma_step,
-                          table.values.shape[0], table.z_nodes.size))
-    buf.write(table.z_nodes.astype("<f8").tobytes())
-    buf.write(table.values.astype("<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-def load_table(path) -> QuantileTable:
-    """Read a table cache written by :func:`save_table`."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _TABLE_MAGIC:
-        raise ValueError("not a quantile-table cache file")
-    version, step, n_gamma, n_nodes = struct.unpack_from("<IdII", raw, 4)
-    if version != _TABLE_VERSION:
-        raise ValueError(f"unsupported table cache version {version}")
-    off = 4 + struct.calcsize("<IdII")
-    nodes = np.frombuffer(raw, dtype="<f8", count=n_nodes, offset=off).copy()
-    off += 8 * n_nodes
-    values = np.frombuffer(raw, dtype="<f8", count=n_gamma * n_nodes, offset=off)
-    return QuantileTable(step, nodes, values.reshape(n_gamma, n_nodes).copy())
-
-
-def load_or_build_table(path=None) -> QuantileTable:
-    """Load a cache when present, otherwise build (and save when a path is given).
-
-    A missing cache file is never an error.
-    """
-    if path is None:
-        return default_table()
-    try:
-        return load_table(path)
-    except (OSError, ValueError):
-        table = QuantileTable.build()
-        try:
-            save_table(table, path)
-        except OSError:
-            pass
-        return table

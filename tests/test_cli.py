@@ -4,11 +4,16 @@ import collections
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sgcinla
 from sgcinla import engine, rng
 from sgcinla.artifacts import SUMMARY_COLUMNS, load_fit, read_manifest
 from sgcinla.cli import main
@@ -301,3 +306,16 @@ def test_bench_quantile_rerun_stability():
         assert a.max_abs_err == b.max_abs_err  # deterministic inputs
         ratio = a.mean_ms / b.mean_ms
         assert 0.5 < ratio < 2.0
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs about half a second of every cold start; only tests
+    # and the bench-quantile oracle may import it
+    env = dict(os.environ)
+    src = str(Path(sgcinla.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sgcinla, sgcinla.cli, sys; assert 'scipy.stats' not in sys.modules"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,6 +1,7 @@
 """Mixture sampling over the hyperparameter grid and posterior summaries."""
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -189,6 +190,34 @@ def test_kernel_density_far_outside_the_draws():
 def test_kernel_density_rejects_constant_draws():
     with pytest.raises(InsufficientSamples):
         kernel_density(np.full(500, 1.5), np.linspace(0.0, 3.0, 7))
+
+
+def _skewness_cases(name):
+    if name == "fit":
+        return None
+    if name == "constant":
+        return np.full((500, 1), 1.5)
+    # draws a few float steps apart around 1e8: in the first column m2 falls
+    # under scipy's (eps * mean)**2 cut-off, in the second it does not
+    gen = rng.stream(407)
+    ulp = np.spacing(1e8)
+    return 1e8 + ulp * np.stack([gen.integers(0, 2, 400), gen.integers(0, 10, 400)], axis=1)
+
+
+@pytest.mark.parametrize("name", ["fit", "constant", "near-constant"])
+def test_summary_skewness_equals_scipy(poisson_fit, name):
+    draws = _skewness_cases(name)
+    js = sample_joint(poisson_fit, 5000, seed=13) if draws is None else _as_samples(draws)
+    with warnings.catch_warnings():
+        # scipy warns of precision loss on (near-)constant columns
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = stats.skew(js.draws, axis=0)
+    got = summarize(js).skewness
+    np.testing.assert_array_equal(got, expected)
+    if name == "constant":
+        assert np.isnan(got[0])
+    if name == "near-constant":
+        assert np.isnan(got[0]) and np.isfinite(got[1])
 
 
 def test_summarize_leaves_no_reference_cycle():

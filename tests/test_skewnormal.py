@@ -11,6 +11,7 @@ from scipy.special import ndtr
 from scipy.stats import skewnorm
 
 from sgcinla import (
+    DimensionMismatch,
     SkewnessOutOfRange,
     build_quantile_table,
     fast_map,
@@ -22,11 +23,12 @@ from sgcinla import (
 )
 from sgcinla.skewnormal import (
     GAMMA_ATTAINABLE,
+    QuantileTable,
     SkewNormalParams,
+    _default_nodes,
     default_table,
-    load_table,
-    save_table,
     sn_moments_from_params,
+    standardized_params,
 )
 
 
@@ -265,25 +267,80 @@ def test_custom_table_build_consistent_with_default():
     assert np.max(np.abs(small.map_row(6, z) - ref)) < 1e-3
 
 
-def test_table_cache_round_trip(tmp_path, table):
-    path = tmp_path / "map.cache"
-    save_table(table, path)
-    loaded = load_table(path)
-    assert np.array_equal(loaded.values, table.values)
-    assert np.array_equal(loaded.z_nodes, table.z_nodes)
-    z = np.linspace(-5, 5, 31)
-    assert np.array_equal(fast_map(loaded, z, 0.42), fast_map(table, z, 0.42))
+def _build_per_row(gamma_step=0.01, gamma_max=0.99, z_max=6.0, n_nodes=61):
+    """The table as one exact solve per row computes it: the reference build."""
+    half = int(round(gamma_max / gamma_step))
+    nodes = _default_nodes(z_max, n_nodes)
+    values = np.empty((2 * half + 1, nodes.size))
+    for i in range(-half, half + 1):
+        g = i * gamma_step
+        if i == 0:
+            values[half] = nodes
+        else:
+            values[i + half] = standardized_map_direct(float(g), nodes)
+    return values
 
 
-def test_table_cache_absence_is_not_an_error(tmp_path):
-    from sgcinla.skewnormal import load_or_build_table
+def test_default_table_equals_per_row_solves(table):
+    assert np.array_equal(table.values, _build_per_row())
 
-    path = tmp_path / "missing.cache"
-    t = load_or_build_table(path)
-    assert t.values.shape[0] == 199
-    # and the build left a cache behind for next time
-    t2 = load_or_build_table(path)
-    assert np.array_equal(t2.values, t.values)
+
+@pytest.mark.parametrize(
+    "spec",
+    [(0.05, 0.95, 5.0, 41), (0.02, 0.98, 8.0, 101), (0.01, 0.0, 6.0, 61)],
+    ids=["coarse", "extra-tail-node", "identity-only"],
+)
+def test_custom_table_equals_per_row_solves(spec):
+    built = QuantileTable.build(*spec)
+    if spec[2] > 6.0:
+        assert built.z_nodes[-1] == spec[2] and built.z_nodes[-2] == 6.0
+    assert np.array_equal(built.values, _build_per_row(*spec))
+
+
+def test_table_build_rejects_unattainable_skewness():
+    with pytest.raises(SkewnessOutOfRange):
+        QuantileTable.build(gamma_step=0.5, gamma_max=1.0)
+
+
+# Its moments, computed on arrays, round differently from the scalar moment
+# map (libm pow against an array square), which moves the Newton start.
+_POW_WITNESS = SkewNormalParams(-1.7189220862344063, 2.42897296444648, 4.562071547679208)
+
+
+def test_sn_quantile_per_element_params_equal_scalar_solves():
+    triples = [
+        _POW_WITNESS,
+        standardized_params(0.9),
+        standardized_params(-0.5),
+        SkewNormalParams(0.0, 1.0, 0.0),
+    ]
+    levels = [1e-30, 1e-14, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-14, 1e-200]
+    # in the long left tails the tiny levels sit below the cdf at xi - 9 omega,
+    # so their brackets widen
+    for p in triples[2:]:
+        assert sn_cdf(p, p.xi - 9.0 * p.omega) > 1e-30
+    pairs = [(p, q) for p in triples for q in levels]
+    per_element = SkewNormalParams(
+        *(
+            np.array([getattr(p, f) for p, _ in pairs]).reshape(4, 10)
+            for f in ("xi", "omega", "alpha")
+        )
+    )
+    q = np.array([q for _, q in pairs]).reshape(4, 10)
+    got = sn_quantile(per_element, q)
+    expected = np.array([sn_quantile(p, q) for p, q in pairs]).reshape(4, 10)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got[0], sn_quantile(_POW_WITNESS, levels))
+
+
+def test_sn_quantile_per_element_params_are_checked():
+    params = SkewNormalParams(np.zeros(3), np.ones(3), np.full(3, 2.0))
+    with pytest.raises(ValueError):
+        sn_quantile(params, np.array([0.2, 1.0, 0.5]))
+    with pytest.raises(ValueError):
+        sn_quantile(params, np.array([0.0, 0.3, 0.5]))
+    with pytest.raises(DimensionMismatch):
+        sn_quantile(params, np.array([0.2, 0.5]))
 
 
 def test_probit_of_cdf_composition():
@@ -291,8 +348,6 @@ def test_probit_of_cdf_composition():
     g = 0.45
     z = np.linspace(-3, 3, 25)
     from scipy.special import ndtri
-
-    from sgcinla.skewnormal import standardized_params
 
     mapped = standardized_map_direct(g, z)
     back = ndtri(sn_cdf(standardized_params(g), mapped))
@@ -302,7 +357,5 @@ def test_probit_of_cdf_composition():
 def test_map_agrees_with_phi_inverse_definition():
     g = -0.37
     z = np.array([-2.0, -0.3, 0.0, 1.4, 3.1])
-    from sgcinla.skewnormal import standardized_params
-
     ref = sn_quantile(standardized_params(g), ndtr(z))
     assert np.max(np.abs(standardized_map_direct(g, z) - ref)) < 1e-12
