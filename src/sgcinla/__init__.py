@@ -38,13 +38,11 @@ from .gmrf import (  # noqa: F401
 from .model import (  # noqa: F401
     ModelSpec,
     assemble_precision,
-    loglik_and_derivs,
     make_family,
 )
 from .skewnormal import (  # noqa: F401
     QuantileTable,
     SkewNormalParams,
-    build_quantile_table,
     fast_map,
     sn_cdf,
     sn_params_from_moments,

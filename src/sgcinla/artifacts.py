@@ -383,8 +383,3 @@ class RunManifest:
         path = Path(out_dir) / f"manifest-{self.command}.json"
         path.write_text(json.dumps(asdict(self), indent=2) + "\n")
         return path
-
-
-def read_manifest(out_dir, command: str) -> RunManifest:
-    doc = json.loads((Path(out_dir) / f"manifest-{command}.json").read_text())
-    return RunManifest(**doc)

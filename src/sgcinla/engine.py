@@ -206,112 +206,85 @@ def log_hyper_posterior(spec: ModelSpec, theta=(), approx: GaussianApprox | None
     return spec.log_prior_theta(ga.theta) + log_prior_x + ll - log_gauss_at_mean
 
 
-def _grid_from_logpost(
-    logpost,
-    d: int,
-    theta0: np.ndarray,
-    dz: float = 0.75,
-    drop_max: float = 2.5,
-    max_steps: int = 30,
-) -> list[GridPoint]:
-    """Standardized-coordinate grid around the mode of an arbitrary log density.
+# Standardized grid over theta = log(tau_u): spacing in posterior sds, the
+# largest log-density drop from the mode that is kept, and the step cap per side.
+GRID_DZ = 0.75
+GRID_DROP_MAX = 2.5
+GRID_MAX_STEPS = 30
 
-    Quasi-Newton ascent locates the mode, a central-difference Hessian fixes
-    the standardization, and lattice points at spacing ``dz`` are kept while
-    their log-density drop from the mode stays within ``drop_max``.
+
+def _grid_from_logpost(logpost) -> list[GridPoint]:
+    """Grid of one scalar hyperparameter around the mode of the log density ``logpost``.
+
+    The INLA grid of Rue, Martino & Chopin (2009, JRSS-B 71:319, sec. 6.5) in
+    one dimension.  BFGS from 0 locates the mode; a central difference with
+    step h = 1e-3 max(1, |mode|) gives the curvature H and so the posterior
+    sd H^-1/2.  The walk then steps ``GRID_DZ`` sds left, then right, for at
+    most ``GRID_MAX_STEPS`` steps each way, keeping points while the log
+    density stays within ``GRID_DROP_MAX`` of the mode; the first point past
+    the drop is evaluated but not kept.  Weights are proportional to
+    exp(logpost), normalized, in increasing theta order.
+
+    BFGS on finite-difference gradients places the mode only to about 1e-3
+    (2.5e-3 off on the 5-group Gaussian fixture of the tests), but any other
+    search moves every grid point and weight, and with them every fit and the
+    recorded benchmark reference.
     """
-    if d == 0:
-        val = float(logpost(np.zeros(0)))
-        return [GridPoint(theta=np.zeros(0), log_posterior=val, weight=1.0)]
-
-    res = optimize.minimize(lambda t: -logpost(t), np.asarray(theta0, dtype=float), method="BFGS")
+    res = optimize.minimize(lambda t: -logpost(t), np.zeros(1), method="BFGS")
     mode = np.atleast_1d(res.x)
     if not np.isfinite(res.fun):
         raise ModeSearchFailure("hyperparameter mode search diverged")
 
-    # central-difference Hessian of the negative log posterior
     h = 1e-3 * np.maximum(1.0, np.abs(mode))
-    hess = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            ei = np.zeros(d)
-            ej = np.zeros(d)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            if i == j:
-                hess[i, i] = -(
-                    logpost(mode + ei) - 2.0 * logpost(mode) + logpost(mode - ei)
-                ) / h[i] ** 2
-            else:
-                hess[i, j] = hess[j, i] = -(
-                    logpost(mode + ei + ej)
-                    - logpost(mode + ei - ej)
-                    - logpost(mode - ei + ej)
-                    + logpost(mode - ei - ej)
-                ) / (4.0 * h[i] * h[j])
-    try:
-        scale = np.linalg.cholesky(np.linalg.inv(hess))
-    except np.linalg.LinAlgError:
-        raise ModeSearchFailure("hyperparameter Hessian is not positive definite") from None
-
     center_val = float(logpost(mode))
-    seen = {(0,) * d: center_val}
-    frontier = [(0,) * d]
-    while frontier:
-        nxt = []
-        for cell in frontier:
-            for axis in range(d):
-                for sign in (-1, 1):
-                    cand = list(cell)
-                    cand[axis] += sign
-                    cand = tuple(cand)
-                    if cand in seen or max(abs(c) for c in cand) > max_steps:
-                        continue
-                    theta = mode + scale @ (dz * np.asarray(cand, dtype=float))
-                    val = float(logpost(theta))
-                    seen[cand] = val
-                    if center_val - val <= drop_max:
-                        nxt.append(cand)
-        frontier = nxt
+    hess = -(logpost(mode + h) - 2.0 * center_val + logpost(mode - h)) / h[0] ** 2
+    if not 0.0 < hess < np.inf:
+        raise ModeSearchFailure("hyperparameter Hessian is not positive definite")
+    # sqrt(1/H), not 1/sqrt(H): the two round differently, and recorded fits use the first
+    sd = np.sqrt(1.0 / hess)
 
-    kept = [(cell, val) for cell, val in seen.items() if center_val - val <= drop_max]
-    # deterministic order: sort by theta lexicographically
-    cells = sorted(kept, key=lambda cv: tuple(mode + scale @ (dz * np.asarray(cv[0], dtype=float))))
-    log_vals = np.array([val for _, val in cells])
+    def theta_at(cell):
+        return mode + sd * (GRID_DZ * float(cell))
+
+    kept = {0: center_val}
+    for sign in (-1, 1):
+        for cell in range(sign, sign * (GRID_MAX_STEPS + 1), sign):
+            val = float(logpost(theta_at(cell)))
+            if not center_val - val <= GRID_DROP_MAX:  # NaN stops the walk too
+                break
+            kept[cell] = val
+
+    cells = sorted(kept)
+    log_vals = np.array([kept[cell] for cell in cells])
     weights = np.exp(log_vals - log_vals.max())
     weights /= weights.sum()
     return [
-        GridPoint(
-            theta=mode + scale @ (dz * np.asarray(cell, dtype=float)),
-            log_posterior=val,
-            weight=float(w),
-        )
-        for (cell, val), w in zip(cells, weights)
+        GridPoint(theta=theta_at(cell), log_posterior=kept[cell], weight=float(w))
+        for cell, w in zip(cells, weights)
     ]
 
 
-def explore_grid(
-    spec: ModelSpec,
-    dz: float = 0.75,
-    drop_max: float = 2.5,
-) -> list[GridPoint]:
+def explore_grid(spec: ModelSpec) -> list[GridPoint]:
     """Weighted hyperparameter grid for the model's theta posterior.
 
     With no hyperparameters the grid is the single empty configuration with
-    weight one.  Otherwise grid points sit on a regular lattice in
-    standardized coordinates around the posterior mode and carry normalized
-    weights proportional to exp(log posterior).
+    weight one.  Otherwise theta = log(tau_u) is scalar and the grid is
+    :func:`_grid_from_logpost` of its Laplace log posterior.
     """
-    cache: dict[bytes, float] = {}
+    if not spec.n_hyper:
+        val = float(log_hyper_posterior(spec, np.zeros(0)))
+        points = [GridPoint(theta=np.zeros(0), log_posterior=val, weight=1.0)]
+    else:
+        cache: dict[bytes, float] = {}
 
-    def logpost(theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        key = theta.tobytes()
-        if key not in cache:
-            cache[key] = log_hyper_posterior(spec, theta)
-        return cache[key]
+        def logpost(theta):
+            theta = np.atleast_1d(np.asarray(theta, dtype=float))
+            key = theta.tobytes()
+            if key not in cache:
+                cache[key] = log_hyper_posterior(spec, theta)
+            return cache[key]
 
-    points = _grid_from_logpost(logpost, spec.n_hyper, np.zeros(spec.n_hyper), dz, drop_max)
+        points = _grid_from_logpost(logpost)
     for pt in points:
         if not np.isfinite(pt.log_posterior):
             raise ModeSearchFailure("non-finite log posterior among kept grid points")
@@ -537,22 +510,17 @@ class FitResult:
         return dens
 
 
-def fit_model(
-    spec: ModelSpec,
-    refine: bool = True,
-    components: np.ndarray | None = None,
-    dz: float = 0.75,
-    drop_max: float = 2.5,
-) -> FitResult:
+def fit_model(spec: ModelSpec, components: np.ndarray | None = None) -> FitResult:
     """Full inference pass: grid exploration, Gaussian approximations and
-    (optionally) skew-normal marginal refinement at every grid point.
+    skew-normal marginal refinement at every grid point.
 
-    ``components`` restricts refinement to a subset of latent indices; the
-    rest keep their Gaussian-approximation mean and zero skewness.  For the
-    Gaussian family refinement is exact up to quadrature noise, so the
-    corrected parameters collapse onto the Gaussian approximation.
+    ``components`` restricts refinement to a subset of latent indices: all
+    of them by default, none for ``()``.  The rest keep their
+    Gaussian-approximation mean and zero skewness.  For the Gaussian family
+    refinement is exact up to quadrature noise, so the corrected parameters
+    collapse onto the Gaussian approximation.
     """
-    grid = explore_grid(spec, dz=dz, drop_max=drop_max)
+    grid = explore_grid(spec)
     approxes = []
     warnings: list[str] = []
     big_n = spec.n_latent
@@ -572,20 +540,19 @@ def fit_model(
         sd = ga.marginal_sd()
         mutilde[k] = ga.mean
         sigma[k] = sd
-        if refine:
-            for i in todo:
-                try:
-                    ref = refine_marginal(spec, ga, int(i))
-                except NoConvergence:
-                    warnings.append(f"refinement skipped for component {i} at grid point {k}")
-                    continue
-                mutilde[k, i] = ref.mean
-                gamma[k, i] = ref.skewness
-                if ref.flagged:
-                    warnings.append(
-                        f"component {i} at grid point {k}: "
-                        f"{ref.dropped_nodes} refinement nodes dropped"
-                    )
+        for i in todo:
+            try:
+                ref = refine_marginal(spec, ga, int(i))
+            except NoConvergence:
+                warnings.append(f"refinement skipped for component {i} at grid point {k}")
+                continue
+            mutilde[k, i] = ref.mean
+            gamma[k, i] = ref.skewness
+            if ref.flagged:
+                warnings.append(
+                    f"component {i} at grid point {k}: "
+                    f"{ref.dropped_nodes} refinement nodes dropped"
+                )
     for msg in warnings:
         logger.warning(msg)
     return FitResult(

@@ -118,18 +118,6 @@ def make_family(name: str, **kwargs):
     return cls(**kwargs)
 
 
-def loglik_and_derivs(family, y, eta, trials=None, max_order: int = 3):
-    """Log likelihood and derivatives in eta, elementwise.
-
-    Returns a tuple ``(ll, d1, d2, d3)`` of arrays shaped like ``eta``;
-    entries beyond ``max_order`` are None.
-    """
-    y = np.asarray(y, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    out = family.loglik(y, eta, trials)
-    return tuple(out[: max_order + 1]) + (None,) * (3 - max_order)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Validated model description.

@@ -123,13 +123,6 @@ def sn_pdf_rows(xi, omega, alpha, xs) -> np.ndarray:
     return 2.0 / omega * np.exp(-0.5 * z**2 - _HALF_LOG_2PI) * ndtr(alpha * z)
 
 
-def sn_log_pdf(params: SkewNormalParams, x):
-    z = (np.asarray(x, dtype=float) - params.xi) / params.omega
-    with np.errstate(divide="ignore"):
-        tail = np.log(ndtr(params.alpha * z))
-    return np.log(2.0 / params.omega) - 0.5 * z**2 - _HALF_LOG_2PI + tail
-
-
 def sn_cdf(params: SkewNormalParams, x):
     """Skew-normal cdf via Owen's T function: Phi(z) - 2 T(z, alpha)."""
     z = (np.asarray(x, dtype=float) - params.xi) / params.omega
@@ -409,15 +402,6 @@ class QuantileTable:
         if identity.any():
             out[identity] = z[identity]
         return out
-
-
-def build_quantile_table(
-    gamma_step: float = 0.01,
-    gamma_max: float = GAMMA_CLAMP,
-    z_max: float = 6.0,
-    n_nodes: int = 61,
-) -> QuantileTable:
-    return QuantileTable.build(gamma_step, gamma_max, z_max, n_nodes)
 
 
 @lru_cache(maxsize=1)

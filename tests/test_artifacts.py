@@ -14,7 +14,6 @@ from sgcinla.artifacts import (
     load_fit,
     read_a_matrix,
     read_joint_summary,
-    read_manifest,
     save_fit,
     spec_from_config,
     write_joint_summary,
@@ -229,6 +228,6 @@ def test_manifest_round_trip(tmp_path):
     )
     path = manifest.write(tmp_path)
     assert path.name == "manifest-sample.json"
-    assert read_manifest(tmp_path, "sample") == manifest
+    assert RunManifest(**json.loads(path.read_text())) == manifest
     doc = json.loads(path.read_text())
     assert doc["seed"] == 7 and doc["kind"] == "skew"

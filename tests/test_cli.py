@@ -15,7 +15,7 @@ import pytest
 
 import sgcinla
 from sgcinla import engine, rng
-from sgcinla.artifacts import SUMMARY_COLUMNS, load_fit, read_manifest
+from sgcinla.artifacts import SUMMARY_COLUMNS, RunManifest, load_fit
 from sgcinla.cli import main
 from sgcinla.errors import NoConvergence
 from sgcinla.lincomb import subset_moments
@@ -70,7 +70,7 @@ def gaussian_run(tmp_path_factory):
 def test_fit_reports_grid_and_persists(poisson_run, capsys, tmp_path):
     config, out = poisson_run
     assert (out / "fit.bin").exists()
-    assert read_manifest(out, "fit").command == "fit"
+    assert RunManifest(**json.loads((out / "manifest-fit.json").read_text())).command == "fit"
     # rerunning into a fresh directory reproduces the artifact byte for byte
     out2 = tmp_path / "again"
     assert main(["fit", "--config", str(config), "--out", str(out2)]) == 0
@@ -135,7 +135,7 @@ def test_sample_outputs_and_speed(poisson_run, capsys):
     with open(out / "samples-mean.csv", newline="") as handle:
         header = next(csv.reader(handle))
     assert tuple(header) == tuple(fit.names)
-    manifest = read_manifest(out, "sample")
+    manifest = RunManifest(**json.loads((out / "manifest-sample.json").read_text()))
     assert manifest.count == 1000 and manifest.kind == "mean"
 
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 
 from sgcinla import engine, rng
 from sgcinla.artifacts import save_fit
@@ -19,7 +19,7 @@ from sgcinla.engine import (
     log_hyper_posterior,
     refine_marginal,
 )
-from sgcinla.errors import IndexOutOfRange, NoConvergence
+from sgcinla.errors import IndexOutOfRange, ModeSearchFailure, NoConvergence
 from sgcinla.gmrf import LinearConstraint
 from sgcinla.model import ModelSpec, make_family
 
@@ -202,7 +202,7 @@ def test_grid_without_hyperparameters_is_single_point():
 
 
 def test_grid_recovers_quadratic_in_one_dimension():
-    pts = _grid_from_logpost(lambda t: -0.5 * ((t[0] - 1.3) / 0.6) ** 2, 1, np.zeros(1))
+    pts = _grid_from_logpost(lambda t: -0.5 * ((t[0] - 1.3) / 0.6) ** 2)
     thetas = np.array([p.theta[0] for p in pts])
     weights = np.array([p.weight for p in pts])
     # spacing 0.75 in standardized units keeps exactly |z| <= sqrt(5)
@@ -213,20 +213,158 @@ def test_grid_recovers_quadratic_in_one_dimension():
     assert np.all(np.diff(thetas) > 0)
 
 
-def test_grid_recovers_quadratic_in_two_dimensions():
-    a = np.array([[2.0, 0.6], [0.6, 1.0]])
-    mean = np.array([0.5, -0.25])
+def _lattice_grid_from_logpost(logpost, d, theta0, dz=0.75, drop_max=2.5, max_steps=30):
+    """The d-dimensional lattice grid that the scalar walk replaced, kept verbatim
+    as the oracle: at d = 1 the walk must reproduce it bit for bit."""
+    if d == 0:
+        val = float(logpost(np.zeros(0)))
+        return [GridPoint(theta=np.zeros(0), log_posterior=val, weight=1.0)]
 
-    def logpost(t):
-        d = np.asarray(t) - mean
-        return -0.5 * d @ a @ d
+    res = optimize.minimize(lambda t: -logpost(t), np.asarray(theta0, dtype=float), method="BFGS")
+    mode = np.atleast_1d(res.x)
+    if not np.isfinite(res.fun):
+        raise ModeSearchFailure("hyperparameter mode search diverged")
 
-    pts = _grid_from_logpost(logpost, 2, np.zeros(2))
-    weights = np.array([p.weight for p in pts])
-    thetas = np.array([p.theta for p in pts])
-    assert len(pts) == 25  # lattice norms up to 8 survive the 2.5 drop rule
-    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(weights @ thetas, mean, atol=1e-3)
+    # central-difference Hessian of the negative log posterior
+    h = 1e-3 * np.maximum(1.0, np.abs(mode))
+    hess = np.empty((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            ei = np.zeros(d)
+            ej = np.zeros(d)
+            ei[i] = h[i]
+            ej[j] = h[j]
+            if i == j:
+                hess[i, i] = -(
+                    logpost(mode + ei) - 2.0 * logpost(mode) + logpost(mode - ei)
+                ) / h[i] ** 2
+            else:
+                hess[i, j] = hess[j, i] = -(
+                    logpost(mode + ei + ej)
+                    - logpost(mode + ei - ej)
+                    - logpost(mode - ei + ej)
+                    + logpost(mode - ei - ej)
+                ) / (4.0 * h[i] * h[j])
+    try:
+        scale = np.linalg.cholesky(np.linalg.inv(hess))
+    except np.linalg.LinAlgError:
+        raise ModeSearchFailure("hyperparameter Hessian is not positive definite") from None
+
+    center_val = float(logpost(mode))
+    seen = {(0,) * d: center_val}
+    frontier = [(0,) * d]
+    while frontier:
+        nxt = []
+        for cell in frontier:
+            for axis in range(d):
+                for sign in (-1, 1):
+                    cand = list(cell)
+                    cand[axis] += sign
+                    cand = tuple(cand)
+                    if cand in seen or max(abs(c) for c in cand) > max_steps:
+                        continue
+                    theta = mode + scale @ (dz * np.asarray(cand, dtype=float))
+                    val = float(logpost(theta))
+                    seen[cand] = val
+                    if center_val - val <= drop_max:
+                        nxt.append(cand)
+        frontier = nxt
+
+    kept = [(cell, val) for cell, val in seen.items() if center_val - val <= drop_max]
+    # deterministic order: sort by theta lexicographically
+    cells = sorted(kept, key=lambda cv: tuple(mode + scale @ (dz * np.asarray(cv[0], dtype=float))))
+    log_vals = np.array([val for _, val in cells])
+    weights = np.exp(log_vals - log_vals.max())
+    weights /= weights.sum()
+    return [
+        GridPoint(
+            theta=mode + scale @ (dz * np.asarray(cell, dtype=float)),
+            log_posterior=val,
+            weight=float(w),
+        )
+        for (cell, val), w in zip(cells, weights)
+    ]
+
+
+def _cached_log_hyper_posterior(spec):
+    """The memoized log posterior that explore_grid hands to the grid."""
+    cache = {}
+
+    def logpost(theta):
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        key = theta.tobytes()
+        if key not in cache:
+            cache[key] = log_hyper_posterior(spec, theta)
+        return cache[key]
+
+    return logpost
+
+
+def _assert_grids_identical(new, old):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.theta.shape == b.theta.shape == (1,)
+        assert np.array_equal(a.theta, b.theta)
+        assert a.log_posterior == b.log_posterior
+        assert a.weight == b.weight
+
+
+def bernoulli_61():
+    """The N=61 Bernoulli random-intercept data of the acceptance tests."""
+    gen = rng.stream(44)
+    grp = np.repeat(np.arange(10), 5)
+    u = gen.normal(size=10) * 1.5
+    p = special.expit(-1.5 + u[grp])
+    y = (gen.uniform(size=grp.size) < p).astype(float)
+    return ModelSpec(
+        make_family("binomial"), y=y, trials=np.ones(grp.size), group=grp,
+        tau_beta=0.5, re_prior=(1.0, 0.5),
+    )
+
+
+@pytest.mark.parametrize("make_spec", [gaussian_mixed, poisson_mixed, bernoulli_61])
+def test_scalar_grid_equals_lattice_grid_on_models(make_spec):
+    spec = make_spec()
+    old = _lattice_grid_from_logpost(_cached_log_hyper_posterior(spec), 1, np.zeros(1))
+    _assert_grids_identical(explore_grid(spec), old)
+
+
+def _skewed_quartic(t):
+    z = (t[0] - 0.3) / 0.7
+    return -(0.5 * z**2 + 0.15 * z**3 + 0.05 * z**4)  # one mode, at z = 0
+
+
+def _flat_plateau(t):
+    # curvature 2.4 at the mode, but the drop never reaches 2.5
+    return -2.4 * (1.0 - np.exp(-0.5 * (t[0] - 0.5) ** 2))
+
+
+@pytest.mark.parametrize(
+    "logpost, size", [(_skewed_quartic, None), (_flat_plateau, 61)], ids=["skewed", "capped"]
+)
+def test_scalar_grid_equals_lattice_grid_on_synthetic_densities(logpost, size):
+    new = _grid_from_logpost(logpost)
+    _assert_grids_identical(new, _lattice_grid_from_logpost(logpost, 1, np.zeros(1)))
+    if size is not None:
+        assert len(new) == size  # 30 steps each way, both sides capped
+
+
+@pytest.mark.parametrize(
+    "logpost, message",
+    [
+        (lambda t: 0.0, "Hessian is not positive definite"),
+        (lambda t: np.inf if t[0] == 0.0 else -t[0] ** 2, "diverged"),
+    ],
+    ids=["constant", "infinite-at-start"],
+)
+@pytest.mark.parametrize(
+    "grid", [_grid_from_logpost, _lattice_grid_from_logpost], ids=["walk", "lattice"]
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy's differences of infinities
+def test_grid_mode_search_failures(grid, logpost, message):
+    args = () if grid is _grid_from_logpost else (1, np.zeros(1))
+    with pytest.raises(ModeSearchFailure, match=message):
+        grid(logpost, *args)
 
 
 def test_grid_weighted_mean_tracks_quadrature():
@@ -443,7 +581,7 @@ def test_fit_gaussian_family_collapses_to_gaussian_approximation():
 
 
 def test_fit_result_grid_point_bounds():
-    fit = fit_model(poisson_one_node(), refine=False)
+    fit = fit_model(poisson_one_node(), components=())
     assert isinstance(fit.grid[0], GridPoint)
     assert isinstance(fit, FitResult)
     with pytest.raises(IndexOutOfRange):
@@ -451,7 +589,7 @@ def test_fit_result_grid_point_bounds():
 
 
 def test_covariance_stack_is_a_declared_cache(tmp_path):
-    fit = fit_model(poisson_mixed(), refine=False)
+    fit = fit_model(poisson_mixed(), components=())
     assert fit._covariance_stack is None
     save_fit(tmp_path / "before.bin", fit)
     stack = fit.covariance_stack()

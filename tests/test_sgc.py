@@ -19,7 +19,7 @@ from sgcinla.sgc import (
     log_density_sgc,
     sample_full_conditional,
 )
-from sgcinla.skewnormal import sn_log_pdf, sn_params_from_moments, standardized_map_direct
+from sgcinla.skewnormal import sn_params_from_moments, sn_pdf, standardized_map_direct
 
 
 def make_pair():
@@ -169,7 +169,7 @@ def test_log_density_one_margin_equals_skew_normal():
     )
     params = sn_params_from_moments(0.9, 4.0, 0.3)
     for u in (-2.0, 0.9, 3.5):
-        assert log_density_sgc(fc, [u]) == pytest.approx(sn_log_pdf(params, u), abs=1e-12)
+        assert log_density_sgc(fc, [u]) == pytest.approx(np.log(sn_pdf(params, u)), abs=1e-12)
 
 
 def test_log_density_normalizes_in_two_dimensions():

@@ -13,7 +13,6 @@ from scipy.stats import skewnorm
 from sgcinla import (
     DimensionMismatch,
     SkewnessOutOfRange,
-    build_quantile_table,
     fast_map,
     sn_cdf,
     sn_params_from_moments,
@@ -260,7 +259,7 @@ def test_fast_map_reproducible(table):
 
 
 def test_custom_table_build_consistent_with_default():
-    small = build_quantile_table(gamma_step=0.01, gamma_max=0.03, z_max=6.0, n_nodes=61)
+    small = QuantileTable.build(gamma_step=0.01, gamma_max=0.03, z_max=6.0, n_nodes=61)
     assert small.values.shape == (7, 61)
     z = np.linspace(-3, 3, 11)
     ref = standardized_map_direct(0.03, z)
