@@ -16,7 +16,11 @@ approximation there; the refined density is moment-matched to a skew-normal
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import optimize
@@ -140,7 +144,7 @@ def gaussian_approximation(
         curvature[:n] = -d2
         b = np.zeros(big_n)
         b[:n] = d1 + curvature[:n] * x[:n]
-        qstar = PrecisionMatrix(q.matrix + np.diag(curvature))
+        qstar = q.plus_diagonal(curvature)
         proposal = qstar.factor().solve(b)
         if con is not None:
             proposal = apply_constraints(proposal, qstar, con)
@@ -169,7 +173,7 @@ def gaussian_approximation(
 
     curvature = np.zeros(big_n)
     curvature[:n] = -d2
-    qstar = PrecisionMatrix(q.matrix + np.diag(curvature))
+    qstar = q.plus_diagonal(curvature)
     if not converged:
         logger.warning("gaussian approximation did not converge in %d iterations", max_iter)
     return GaussianApprox(
@@ -510,6 +514,79 @@ class FitResult:
         return dens
 
 
+# ---------------------------------------------------------------------------
+# refinement tasks
+# ---------------------------------------------------------------------------
+
+# Variables from which OpenBLAS, OpenMP and MKL take their thread count at load.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _refine_task(spec: ModelSpec, approxes: list[GaussianApprox], task: tuple[int, int]):
+    """The refinement task: component i at grid point k for ``task = (k, i)``,
+    or None where :class:`NoConvergence` skips it."""
+    k, i = task
+    try:
+        return refine_marginal(spec, approxes[k], i)
+    except NoConvergence:
+        return None
+
+
+# Set in each pool child by the pool initializer; the parent never sets it.
+_child_refiner = None
+
+
+def _set_child_refiner(refiner) -> None:
+    global _child_refiner
+    _child_refiner = refiner
+
+
+def _refine_in_child(task: tuple[int, int]):
+    return _child_refiner(task)
+
+
+def _blas_threads(cpus: int) -> int:
+    """Threads each BLAS call may use: the largest positive count among the
+    thread variables, or every core when none is set."""
+    counts = [int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS) if v and v.isdigit()]
+    return max((c for c in counts if c > 0), default=cpus)
+
+
+def _refinement_workers(tasks: int) -> int:
+    """Processes to run ``tasks`` refinements on; 1 runs them in this process.
+
+    The count is min(tasks, cpus // blas_threads), so refinements use only
+    the cores the BLAS leaves idle.  It is 1 without ``fork``, in a daemonic
+    process (which may not have children), and while another Python thread
+    is alive, which a forked child could inherit mid-way through a lock.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if threading.active_count() > 1 or multiprocessing.current_process().daemon:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        cpus = os.cpu_count() or 1
+    return max(1, min(tasks, cpus // _blas_threads(cpus)))
+
+
+def _map_refinements(refiner, tasks: list[tuple[int, int]]) -> list:
+    """``refiner`` over ``tasks``, in task order, serially or on a fork pool.
+
+    Forked children inherit the fit state, so only task indices and results
+    cross the pipe, and they inherit the BLAS thread count, so each result
+    equals the serial one bit for bit.  An exception other than
+    NoConvergence reaches the caller with its own type.
+    """
+    workers = _refinement_workers(len(tasks))
+    if workers == 1:
+        return list(map(refiner, tasks))
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_set_child_refiner, initargs=(refiner,)) as pool:
+        return pool.map(_refine_in_child, tasks, chunksize=1)
+
+
 def fit_model(spec: ModelSpec, components: np.ndarray | None = None) -> FitResult:
     """Full inference pass: grid exploration, Gaussian approximations and
     skew-normal marginal refinement at every grid point.
@@ -519,6 +596,12 @@ def fit_model(spec: ModelSpec, components: np.ndarray | None = None) -> FitResul
     Gaussian-approximation mean and zero skewness.  For the Gaussian family
     refinement is exact up to quadrature noise, so the corrected parameters
     collapse onto the Gaussian approximation.
+
+    The Gaussian approximations run in grid order, each warm-started from
+    the previous mode.  The (grid point, component) refinements are
+    independent and run as one task list, on the cores the BLAS leaves idle
+    (:func:`_refinement_workers`); results and warnings keep task order, and
+    the fit is the same bit for bit however many processes ran it.
     """
     grid = explore_grid(spec)
     approxes = []
@@ -529,7 +612,6 @@ def fit_model(spec: ModelSpec, components: np.ndarray | None = None) -> FitResul
     sigma = np.empty((k_count, big_n))
     gamma = np.zeros((k_count, big_n))
 
-    todo = np.arange(big_n) if components is None else np.asarray(components, dtype=int)
     x_warm = None
     for k, pt in enumerate(grid):
         ga = gaussian_approximation(spec, pt.theta, x0=x_warm)
@@ -537,22 +619,24 @@ def fit_model(spec: ModelSpec, components: np.ndarray | None = None) -> FitResul
             raise NoConvergence(f"gaussian approximation failed at grid point {k}")
         x_warm = ga.mean
         approxes.append(ga)
-        sd = ga.marginal_sd()
         mutilde[k] = ga.mean
-        sigma[k] = sd
-        for i in todo:
-            try:
-                ref = refine_marginal(spec, ga, int(i))
-            except NoConvergence:
-                warnings.append(f"refinement skipped for component {i} at grid point {k}")
-                continue
-            mutilde[k, i] = ref.mean
-            gamma[k, i] = ref.skewness
-            if ref.flagged:
-                warnings.append(
-                    f"component {i} at grid point {k}: "
-                    f"{ref.dropped_nodes} refinement nodes dropped"
-                )
+        # caches the covariance, which every refinement at k reads
+        sigma[k] = ga.marginal_sd()
+
+    todo = np.arange(big_n) if components is None else np.asarray(components, dtype=int)
+    tasks = [(k, int(i)) for k in range(k_count) for i in todo]
+    refinements = _map_refinements(partial(_refine_task, spec, approxes), tasks)
+    for (k, i), ref in zip(tasks, refinements):
+        if ref is None:
+            warnings.append(f"refinement skipped for component {i} at grid point {k}")
+            continue
+        mutilde[k, i] = ref.mean
+        gamma[k, i] = ref.skewness
+        if ref.flagged:
+            warnings.append(
+                f"component {i} at grid point {k}: "
+                f"{ref.dropped_nodes} refinement nodes dropped"
+            )
     for msg in warnings:
         logger.warning(msg)
     return FitResult(

@@ -53,6 +53,27 @@ class PrecisionMatrix:
         self._matrix = m
         self._factor = None
 
+    def plus_diagonal(self, diag) -> "PrecisionMatrix":
+        """``PrecisionMatrix(self.matrix + np.diag(diag))`` without the re-validation.
+
+        This matrix is exactly symmetric and a finite diagonal keeps it so,
+        and ``(m + m.T) / 2`` of an exactly symmetric ``m`` is ``m`` bit for
+        bit, so skipping the asymmetry scan and the re-symmetrization gives
+        the same matrix.  Raises ValueError unless ``diag`` is a finite
+        vector of length ``dim``.
+        """
+        d = np.asarray(diag, dtype=float)
+        if d.shape != (self.dim,):
+            raise DimensionMismatch(f"diagonal has shape {d.shape}, expected ({self.dim},)")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("diagonal has non-finite entries")
+        m = self._matrix + np.diag(d)
+        m.setflags(write=False)
+        out = PrecisionMatrix.__new__(PrecisionMatrix)
+        out._matrix = m
+        out._factor = None
+        return out
+
     @property
     def matrix(self) -> np.ndarray:
         return self._matrix

@@ -1,6 +1,10 @@
 """Mode finding, hyperparameter grids and marginal refinement."""
 
 import dataclasses
+import multiprocessing
+import os
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from sgcinla.engine import (
     refine_marginal,
 )
 from sgcinla.errors import IndexOutOfRange, ModeSearchFailure, NoConvergence
-from sgcinla.gmrf import LinearConstraint
+from sgcinla.gmrf import LinearConstraint, PrecisionMatrix
 from sgcinla.model import ModelSpec, make_family
 
 
@@ -72,6 +76,19 @@ def poisson_61():
     u = gen.normal(size=10) * 1.5
     y = gen.poisson(np.exp(u[grp])).astype(float)
     return ModelSpec(make_family("poisson"), y=y, group=grp, tau_beta=0.5, re_prior=(1.0, 0.5))
+
+
+def bernoulli_61():
+    """The N=61 Bernoulli random-intercept data of the acceptance tests."""
+    gen = rng.stream(44)
+    grp = np.repeat(np.arange(10), 5)
+    u = gen.normal(size=10) * 1.5
+    p = special.expit(-1.5 + u[grp])
+    y = (gen.uniform(size=grp.size) < p).astype(float)
+    return ModelSpec(
+        make_family("binomial"), y=y, trials=np.ones(grp.size), group=grp,
+        tau_beta=0.5, re_prior=(1.0, 0.5),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +158,32 @@ def test_covariance_is_cached_and_consistent():
 # ---------------------------------------------------------------------------
 # hyperparameter posterior
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make_spec", [poisson_61, bernoulli_61])
+def test_gaussian_approximation_equals_validating_path(make_spec, monkeypatch):
+    # every grid point of the fixture, warm-started as fit_model does
+    spec = make_spec()
+    thetas = [pt.theta for pt in explore_grid(spec)]
+
+    def approximations():
+        out, x_warm = [], None
+        for theta in thetas:
+            ga = gaussian_approximation(spec, theta, x0=x_warm)
+            x_warm = ga.mean
+            out.append(ga)
+        return out
+
+    trusted = approximations()
+    monkeypatch.setattr(
+        PrecisionMatrix, "plus_diagonal", lambda q, d: PrecisionMatrix(q.matrix + np.diag(d))
+    )
+    validated = approximations()
+    for got, want in zip(trusted, validated, strict=True):
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.precision.matrix, want.precision.matrix)
+        assert got.log_det == want.log_det
 
 
 def test_log_hyper_posterior_exact_for_gaussian():
@@ -307,19 +350,6 @@ def _assert_grids_identical(new, old):
         assert np.array_equal(a.theta, b.theta)
         assert a.log_posterior == b.log_posterior
         assert a.weight == b.weight
-
-
-def bernoulli_61():
-    """The N=61 Bernoulli random-intercept data of the acceptance tests."""
-    gen = rng.stream(44)
-    grp = np.repeat(np.arange(10), 5)
-    u = gen.normal(size=10) * 1.5
-    p = special.expit(-1.5 + u[grp])
-    y = (gen.uniform(size=grp.size) < p).astype(float)
-    return ModelSpec(
-        make_family("binomial"), y=y, trials=np.ones(grp.size), group=grp,
-        tau_beta=0.5, re_prior=(1.0, 0.5),
-    )
 
 
 @pytest.mark.parametrize("make_spec", [gaussian_mixed, poisson_mixed, bernoulli_61])
@@ -599,6 +629,111 @@ def test_covariance_stack_is_a_declared_cache(tmp_path):
     assert "_covariance_stack" not in repr(fit)
     save_fit(tmp_path / "after.bin", fit)
     assert (tmp_path / "after.bin").read_bytes() == (tmp_path / "before.bin").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# parallel refinement
+# ---------------------------------------------------------------------------
+
+
+def _force_workers(monkeypatch, count):
+    monkeypatch.setattr(engine, "_refinement_workers", lambda tasks: max(1, min(tasks, count)))
+
+
+@pytest.mark.parametrize("make_spec", [poisson_61, bernoulli_61])
+def test_parallel_fit_equals_serial_fit(make_spec, monkeypatch):
+    spec = make_spec()
+    _force_workers(monkeypatch, 1)
+    serial = fit_model(spec)
+    _force_workers(monkeypatch, 2)
+    parallel = fit_model(spec)
+    for name in ("mutilde", "sigma", "gamma", "weights"):
+        assert np.array_equal(getattr(parallel, name), getattr(serial, name)), name
+    assert parallel.warnings == serial.warnings
+    assert multiprocessing.active_children() == []
+
+
+def _refine_failing_in_children(error, component):
+    """refine_marginal that raises ``error`` for ``component`` in pool children only."""
+    parent, real = os.getpid(), engine.refine_marginal
+
+    def refine(spec, approx, i, **kwargs):
+        if os.getpid() != parent and i == component:
+            raise error
+        return real(spec, approx, i, **kwargs)
+
+    return refine
+
+
+def test_child_no_convergence_becomes_skip_warning(monkeypatch):
+    spec = poisson_mixed()
+    components = np.array([0, spec.n_obs, spec.n_obs + 2])
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(
+        engine, "refine_marginal", _refine_failing_in_children(NoConvergence("stalled"), spec.n_obs)
+    )
+    fit = fit_model(spec, components=components)
+    skipped = [f"refinement skipped for component {spec.n_obs} at grid point {k}"
+               for k in range(fit.n_config)]
+    assert [w for w in fit.warnings if w.startswith("refinement skipped")] == skipped
+    for k, ga in enumerate(fit.approximations):
+        assert fit.mutilde[k, spec.n_obs] == ga.mean[spec.n_obs]
+        assert fit.gamma[k, spec.n_obs] == 0.0
+        assert fit.gamma[k, spec.n_obs + 2] != 0.0
+
+
+def test_child_exception_keeps_its_type(monkeypatch):
+    spec = poisson_mixed()
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(
+        engine, "refine_marginal", _refine_failing_in_children(IndexOutOfRange("from a child"), 0)
+    )
+    with pytest.raises(IndexOutOfRange, match="from a child"):
+        fit_model(spec, components=np.array([0, 1]))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def two_cpus_one_blas_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for var in engine._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    return monkeypatch
+
+
+def test_refinement_workers_use_the_cores_blas_leaves_idle(two_cpus_one_blas_thread):
+    assert engine._refinement_workers(10) == 2
+    assert engine._refinement_workers(1) == 1
+    assert engine._refinement_workers(0) == 1
+    two_cpus_one_blas_thread.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert engine._refinement_workers(10) == 8
+    two_cpus_one_blas_thread.setenv("OMP_NUM_THREADS", "2")  # the largest count counts
+    assert engine._refinement_workers(10) == 4
+    two_cpus_one_blas_thread.setenv("OMP_NUM_THREADS", "4,2")  # unreadable, so ignored
+    assert engine._refinement_workers(10) == 8
+
+
+@pytest.mark.parametrize(
+    "serial_because",
+    ["blas fills the cores", "no blas variable", "one cpu", "another thread",
+     "daemonic process", "no fork"],
+)
+def test_refinement_workers_choose_serial(two_cpus_one_blas_thread, serial_because):
+    mp = two_cpus_one_blas_thread
+    if serial_because == "blas fills the cores":
+        mp.setenv("MKL_NUM_THREADS", "2")
+    elif serial_because == "no blas variable":
+        mp.delenv("OPENBLAS_NUM_THREADS")
+    elif serial_because == "one cpu":
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif serial_because == "another thread":
+        mp.setattr(threading, "active_count", lambda: 2)
+    elif serial_because == "daemonic process":
+        mp.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
+    else:
+        mp.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert engine._refinement_workers(10) == 1
 
 
 @pytest.mark.xfail(

@@ -38,6 +38,28 @@ def test_non_square_rejected():
         PrecisionMatrix(np.ones((2, 3)))
 
 
+def test_plus_diagonal_equals_validating_constructor():
+    rng = np.random.default_rng(4)
+    raw = random_spd(rng, 7)
+    raw[0, 3] += 1e-12  # asymmetry inside the tolerance, averaged away on ingestion
+    q = PrecisionMatrix(raw)
+    for diag in (rng.standard_normal(7) ** 2, np.zeros(7), np.array([0.0, -0.0, 1e300, 1e-300, 3, 4, 5])):
+        got = q.plus_diagonal(diag)
+        want = PrecisionMatrix(q.matrix + np.diag(diag))
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert not got.matrix.flags.writeable
+        assert got.factor().log_det == want.factor().log_det
+    assert q.plus_diagonal(np.ones(7)).factor() is not q.factor()
+
+
+@pytest.mark.parametrize("diag", [np.ones(6), np.ones((7, 1)), [1, 2, 3, 4, 5, 6, np.nan],
+                                  [1, 2, 3, 4, 5, 6, np.inf]])
+def test_plus_diagonal_rejects_bad_diagonals(diag):
+    q = PrecisionMatrix(np.eye(7))
+    with pytest.raises(ValueError):
+        q.plus_diagonal(diag)
+
+
 def test_log_det_of_inverse_two_by_two():
     # Q = [[2,1],[1,5]]^-1 has determinant 1/9
     q = PrecisionMatrix(np.linalg.inv(np.array([[2.0, 1.0], [1.0, 5.0]])))

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from sgcinla import rng
 from sgcinla.errors import BoundaryEvaluation, DimensionMismatch, InvalidSpec
 from sgcinla.gmrf import PrecisionMatrix
 from sgcinla.sgc import (
+    CDF_CLIP,
     CorrectionKind,
     FullConditionalSGC,
     as_kind,
@@ -19,7 +21,7 @@ from sgcinla.sgc import (
     log_density_sgc,
     sample_full_conditional,
 )
-from sgcinla.skewnormal import sn_params_from_moments, sn_pdf, standardized_map_direct
+from sgcinla.skewnormal import sn_cdf, sn_params_from_moments, sn_pdf, standardized_map_direct
 
 
 def make_pair():
@@ -149,6 +151,24 @@ def test_jacobian_boundary_raises():
         jacobian_terms(fc, far)
     with pytest.raises(BoundaryEvaluation):
         inverse_transform(fc, far)
+
+
+def test_jacobian_clips_cdf_near_zero():
+    fc = FullConditionalSGC(
+        mu=[0.0, 0.0],
+        precision=PrecisionMatrix(np.eye(2)),
+        mutilde=[0.1, 0.0],
+        gamma=[0.4, -0.4],
+        sigma=[1.0, 1.0],
+    )
+    u = np.array([-6.0, 0.0])
+    p = sn_cdf(sn_params_from_moments(fc.mutilde, fc.sigma**2, fc.gamma), u)
+    assert 0.0 < p[0] < CDF_CLIP  # about 8.8e-16
+    jt = jacobian_terms(fc, u)
+    assert jt.clipped == 1
+    assert np.all(np.isfinite(jt.delta)) and np.all(jt.delta > 0)
+    # the probit is taken at the clip, not at the cdf value
+    assert jt.gauss_dev[0] == ndtri(CDF_CLIP)
 
 
 def test_log_density_hand_value():
