@@ -545,20 +545,15 @@ def _refine_in_child(task: tuple[int, int]):
     return _child_refiner(task)
 
 
-def _blas_threads(cpus: int) -> int:
-    """Threads each BLAS call may use: the largest positive count among the
-    thread variables, or every core when none is set."""
-    counts = [int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS) if v and v.isdigit()]
-    return max((c for c in counts if c > 0), default=cpus)
-
-
 def _refinement_workers(tasks: int) -> int:
     """Processes to run ``tasks`` refinements on; 1 runs them in this process.
 
     The count is min(tasks, cpus // blas_threads), so refinements use only
-    the cores the BLAS leaves idle.  It is 1 without ``fork``, in a daemonic
-    process (which may not have children), and while another Python thread
-    is alive, which a forked child could inherit mid-way through a lock.
+    the cores the BLAS leaves idle; blas_threads is the largest positive
+    count among the thread variables, or every core when none is set.  It
+    is 1 without ``fork``, in a daemonic process (which may not have
+    children), and while another Python thread is alive, which a forked
+    child could inherit mid-way through a lock.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
@@ -568,7 +563,9 @@ def _refinement_workers(tasks: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call outside Linux
         cpus = os.cpu_count() or 1
-    return max(1, min(tasks, cpus // _blas_threads(cpus)))
+    counts = [int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS) if v and v.isdigit()]
+    blas_threads = max((c for c in counts if c > 0), default=cpus)
+    return max(1, min(tasks, cpus // blas_threads))
 
 
 def _map_refinements(refiner, tasks: list[tuple[int, int]]) -> list:

@@ -695,6 +695,10 @@ def test_child_exception_keeps_its_type(monkeypatch):
 
 @pytest.fixture
 def two_cpus_one_blas_thread(monkeypatch):
+    """A pool-friendly process, whatever the machine and test runner."""
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=False))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     for var in engine._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
