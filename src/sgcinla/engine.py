@@ -16,9 +16,6 @@ approximation there; the refined density is moment-matched to a skew-normal
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import os
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -27,6 +24,7 @@ from scipy import optimize
 from scipy.integrate import trapezoid
 from scipy.interpolate import CubicSpline
 
+from . import parallel
 from .errors import IndexOutOfRange, ModeSearchFailure, NoConvergence
 from .gmrf import (
     _LOG_2PI,
@@ -518,10 +516,6 @@ class FitResult:
 # refinement tasks
 # ---------------------------------------------------------------------------
 
-# Variables from which OpenBLAS, OpenMP and MKL take their thread count at load.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def _refine_task(spec: ModelSpec, approxes: list[GaussianApprox], task: tuple[int, int]):
     """The refinement task: component i at grid point k for ``task = (k, i)``,
     or None where :class:`NoConvergence` skips it."""
@@ -530,58 +524,6 @@ def _refine_task(spec: ModelSpec, approxes: list[GaussianApprox], task: tuple[in
         return refine_marginal(spec, approxes[k], i)
     except NoConvergence:
         return None
-
-
-# Set in each pool child by the pool initializer; the parent never sets it.
-_child_refiner = None
-
-
-def _set_child_refiner(refiner) -> None:
-    global _child_refiner
-    _child_refiner = refiner
-
-
-def _refine_in_child(task: tuple[int, int]):
-    return _child_refiner(task)
-
-
-def _refinement_workers(tasks: int) -> int:
-    """Processes to run ``tasks`` refinements on; 1 runs them in this process.
-
-    The count is min(tasks, cpus // blas_threads), so refinements use only
-    the cores the BLAS leaves idle; blas_threads is the largest positive
-    count among the thread variables, or every core when none is set.  It
-    is 1 without ``fork``, in a daemonic process (which may not have
-    children), and while another Python thread is alive, which a forked
-    child could inherit mid-way through a lock.
-    """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    if threading.active_count() > 1 or multiprocessing.current_process().daemon:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call outside Linux
-        cpus = os.cpu_count() or 1
-    counts = [int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS) if v and v.isdigit()]
-    blas_threads = max((c for c in counts if c > 0), default=cpus)
-    return max(1, min(tasks, cpus // blas_threads))
-
-
-def _map_refinements(refiner, tasks: list[tuple[int, int]]) -> list:
-    """``refiner`` over ``tasks``, in task order, serially or on a fork pool.
-
-    Forked children inherit the fit state, so only task indices and results
-    cross the pipe, and they inherit the BLAS thread count, so each result
-    equals the serial one bit for bit.  An exception other than
-    NoConvergence reaches the caller with its own type.
-    """
-    workers = _refinement_workers(len(tasks))
-    if workers == 1:
-        return list(map(refiner, tasks))
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_set_child_refiner, initargs=(refiner,)) as pool:
-        return pool.map(_refine_in_child, tasks, chunksize=1)
 
 
 def fit_model(spec: ModelSpec, components: np.ndarray | None = None) -> FitResult:
@@ -597,7 +539,7 @@ def fit_model(spec: ModelSpec, components: np.ndarray | None = None) -> FitResul
     The Gaussian approximations run in grid order, each warm-started from
     the previous mode.  The (grid point, component) refinements are
     independent and run as one task list, on the cores the BLAS leaves idle
-    (:func:`_refinement_workers`); results and warnings keep task order, and
+    (:func:`parallel.map_tasks`); results and warnings keep task order, and
     the fit is the same bit for bit however many processes ran it.
     """
     grid = explore_grid(spec)
@@ -622,7 +564,7 @@ def fit_model(spec: ModelSpec, components: np.ndarray | None = None) -> FitResul
 
     todo = np.arange(big_n) if components is None else np.asarray(components, dtype=int)
     tasks = [(k, int(i)) for k in range(k_count) for i in todo]
-    refinements = _map_refinements(partial(_refine_task, spec, approxes), tasks)
+    refinements = parallel.map_tasks(partial(_refine_task, spec, approxes), tasks)
     for (k, i), ref in zip(tasks, refinements):
         if ref is None:
             warnings.append(f"refinement skipped for component {i} at grid point {k}")

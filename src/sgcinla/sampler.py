@@ -6,19 +6,26 @@ weights, then takes one corrected draw from that configuration.  Every
 configuration owns a salted substream, so the draws for a given fit, seed
 and correction kind are reproducible bit for bit, and the Gaussian draws
 underneath are shared between correction kinds.
+
+The per-configuration draws and the per-component kernel modes of the
+summaries are independent tasks, run by :func:`parallel.map_tasks` on the
+cores the BLAS leaves idle.  Draws and summaries are bit-identical however
+many processes ran them, at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .engine import FitResult
 from .errors import InsufficientSamples
 from .rng import SALT_CATEGORICAL, SALT_MIXTURE_BASE, stream
 from .sgc import CorrectionKind, as_kind, sample_full_conditional
-from .skewnormal import QuantileTable
+from .skewnormal import QuantileTable, default_table
 
 
 @dataclass
@@ -48,6 +55,16 @@ def _assign_configs(weights: np.ndarray, count: int, seed: int) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, u, side="right"), weights.size - 1)
 
 
+def _shared_array(shape: tuple[int, int]) -> np.ndarray:
+    """A zeroed float array in anonymous shared memory, so that what forked
+    children write into it is what the caller reads.  ``mmap`` refuses a
+    zero length, so an empty array is an ordinary one."""
+    nbytes = shape[0] * shape[1] * np.dtype(float).itemsize
+    if nbytes == 0:
+        return np.empty(shape)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=float).reshape(shape)
+
+
 def sample_joint(
     fit: FitResult,
     count: int,
@@ -61,26 +78,33 @@ def sample_joint(
     The configuration assignment stream is independent of the correction
     kind, so runs differing only in ``kind`` share both the mixture pattern
     and the underlying Gaussian draws row for row.
+
+    Each configuration that received rows is one task, heaviest first.  A
+    task writes its block straight into the output array, which lives in
+    shared memory, so no draws cross a pipe.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     kind = as_kind(kind)
+    if kind is CorrectionKind.SKEW and use_table and table is None:
+        table = default_table()  # built here, so pool children inherit it
     config = _assign_configs(fit.weights, count, seed)
-    out = np.empty((count, fit.mutilde.shape[1]))
-    for k in range(fit.n_config):
-        rows = config == k
-        n_k = int(np.count_nonzero(rows))
-        if n_k == 0:
-            continue
-        out[rows] = sample_full_conditional(
+    sizes = np.bincount(config, minlength=fit.n_config)
+    out = _shared_array((count, fit.mutilde.shape[1]))
+
+    def draw(k: int) -> None:
+        out[config == k] = sample_full_conditional(
             fit.sgc(k),
-            n_k,
+            int(sizes[k]),
             seed,
             kind,
             table=table,
             use_table=use_table,
             salt=SALT_MIXTURE_BASE + k,
         )
+
+    tasks = sorted(np.flatnonzero(sizes).tolist(), key=lambda k: -sizes[k])
+    parallel.map_tasks(draw, tasks)
     return JointSamples(
         draws=out, config=config, names=tuple(fit.names), kind=kind, seed=seed
     )
@@ -173,12 +197,17 @@ def _skewness(draws: np.ndarray) -> np.ndarray:
 
 
 def summarize(samples: JointSamples, min_count: int = 100) -> PosteriorSummary:
-    """Means, sds, central quantiles, kernel modes and skewness per component."""
+    """Means, sds, central quantiles, kernel modes and skewness per component.
+
+    The kernel modes, one task per component, run through
+    :func:`parallel.map_tasks`; the rest is computed here.
+    """
     if samples.count < min_count:
         raise InsufficientSamples(
             f"{samples.count} draws, at least {min_count} needed for summaries"
         )
     draws = samples.draws
+    mode = parallel.map_tasks(lambda i: _kde_mode(draws[:, i]), list(range(samples.dim)))
     q = np.quantile(draws, [0.025, 0.5, 0.975], axis=0)
     return PosteriorSummary(
         names=samples.names,
@@ -187,7 +216,7 @@ def summarize(samples: JointSamples, min_count: int = 100) -> PosteriorSummary:
         q025=q[0],
         q50=q[1],
         q975=q[2],
-        mode=np.array([_kde_mode(draws[:, i]) for i in range(samples.dim)]),
+        mode=np.array(mode),
         skewness=_skewness(draws),
     )
 

@@ -319,3 +319,42 @@ def test_import_leaves_scipy_stats_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def _run_on_cpus(cpus, env, *argv):
+    return subprocess.run(
+        [sys.executable, *argv], env=env, preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs to compare the pool against one process",
+)
+def test_sample_outputs_equal_with_and_without_the_pool(poisson_run, tmp_path):
+    _, out = poisson_run
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    src = str(Path(sgcinla.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    two = set(sorted(os.sched_getaffinity(0))[:2])
+    written = {}
+    for cpus, workers in ((two, 2), ({min(two)}, 1)):
+        # the pool is on for two CPUs and off for one
+        probe = _run_on_cpus(
+            cpus, env, "-c", "from sgcinla import parallel; print(parallel.worker_count(10))"
+        )
+        assert probe.stdout.strip() == str(workers), probe.stderr
+        run_dir = tmp_path / f"workers-{workers}"
+        run_dir.mkdir()
+        (run_dir / "fit.bin").write_bytes((out / "fit.bin").read_bytes())
+        done = _run_on_cpus(
+            cpus, env, "-m", "sgcinla.cli", "sample", "--out", str(run_dir),
+            "--count", "20000", "--seed", "4", "--kind", "skew",
+        )
+        assert done.returncode == 0, done.stderr
+        written[workers] = [(run_dir / name).read_bytes()
+                            for name in ("samples-skew.csv", "summary-skew.csv")]
+    assert written[2] == written[1]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special, stats
 
-from sgcinla import engine, rng
+from sgcinla import engine, parallel, rng
 from sgcinla.artifacts import save_fit
 from sgcinla.engine import (
     FitResult,
@@ -570,6 +570,38 @@ def test_refinement_index_bounds():
         refine_marginal(spec, ga, spec.n_latent)
 
 
+@pytest.mark.parametrize(
+    "offsets, flagged",
+    [((2,), False), ((-3, 4), True), ((-4, -3, -2, 2, 3, 4), None)],
+    ids=["one of nine", "two of nine", "six of nine"],
+)
+def test_refinement_with_dropped_nodes(monkeypatch, offsets, flagged):
+    # the inner search fails at chosen nodes, whatever the round-off does
+    spec = poisson_mixed()
+    ga = gaussian_approximation(spec, theta=[0.0])
+    i = spec.n_obs
+    step = (3.5 / 4) * ga.marginal_sd()[i]
+    real = engine._conditional_mode
+    seen = []
+
+    def mode(spec, q, j, value, x_start, **kwargs):
+        seen.append(int(round((value - ga.mean[i]) / step)))
+        if seen[-1] in offsets:
+            raise NoConvergence("stalled")
+        return real(spec, q, j, value, x_start, **kwargs)
+
+    monkeypatch.setattr(engine, "_conditional_mode", mode)
+    if flagged is None:
+        with pytest.raises(NoConvergence, match="lost too many nodes"):
+            refine_marginal(spec, ga, i)
+        return
+    ref = refine_marginal(spec, ga, i)
+    assert sorted(seen) == list(range(-4, 5))
+    assert np.isfinite(ref.mean) and np.isfinite(ref.skewness)
+    assert ref.dropped_nodes == len(offsets)
+    assert ref.flagged is flagged
+
+
 # ---------------------------------------------------------------------------
 # full fit
 # ---------------------------------------------------------------------------
@@ -637,7 +669,7 @@ def test_covariance_stack_is_a_declared_cache(tmp_path):
 
 
 def _force_workers(monkeypatch, count):
-    monkeypatch.setattr(engine, "_refinement_workers", lambda tasks: max(1, min(tasks, count)))
+    monkeypatch.setattr(parallel, "worker_count", lambda tasks: max(1, min(tasks, count)))
 
 
 @pytest.mark.parametrize("make_spec", [poisson_61, bernoulli_61])
@@ -700,22 +732,22 @@ def two_cpus_one_blas_thread(monkeypatch):
     monkeypatch.setattr(threading, "active_count", lambda: 1)
     monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=False))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    for var in engine._BLAS_THREAD_VARS:
+    for var in parallel._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     return monkeypatch
 
 
 def test_refinement_workers_use_the_cores_blas_leaves_idle(two_cpus_one_blas_thread):
-    assert engine._refinement_workers(10) == 2
-    assert engine._refinement_workers(1) == 1
-    assert engine._refinement_workers(0) == 1
+    assert parallel.worker_count(10) == 2
+    assert parallel.worker_count(1) == 1
+    assert parallel.worker_count(0) == 1
     two_cpus_one_blas_thread.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert engine._refinement_workers(10) == 8
+    assert parallel.worker_count(10) == 8
     two_cpus_one_blas_thread.setenv("OMP_NUM_THREADS", "2")  # the largest count counts
-    assert engine._refinement_workers(10) == 4
+    assert parallel.worker_count(10) == 4
     two_cpus_one_blas_thread.setenv("OMP_NUM_THREADS", "4,2")  # unreadable, so ignored
-    assert engine._refinement_workers(10) == 8
+    assert parallel.worker_count(10) == 8
 
 
 @pytest.mark.parametrize(
@@ -737,7 +769,7 @@ def test_refinement_workers_choose_serial(two_cpus_one_blas_thread, serial_becau
         mp.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
     else:
         mp.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert engine._refinement_workers(10) == 1
+    assert parallel.worker_count(10) == 1
 
 
 @pytest.mark.xfail(

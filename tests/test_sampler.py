@@ -1,6 +1,10 @@
 """Mixture sampling over the hyperparameter grid and posterior summaries."""
 
 import gc
+import mmap
+import multiprocessing
+import os
+import pickle
 import warnings
 import weakref
 
@@ -8,9 +12,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sgcinla import rng
+from sgcinla import parallel, rng, sampler, sgc
 from sgcinla.engine import fit_model
-from sgcinla.errors import InsufficientSamples
+from sgcinla.errors import IndexOutOfRange, InsufficientSamples
 from sgcinla.lincomb import kld_1d
 from sgcinla.model import ModelSpec, make_family
 from sgcinla.sampler import (
@@ -32,6 +36,17 @@ def poisson_fit():
     y = gen.poisson(np.exp(0.4 + u[grp])).astype(float)
     spec = ModelSpec(make_family("poisson"), y=y, group=grp, tau_beta=0.5)
     return fit_model(spec, components=np.array([0, 1, 30]))
+
+
+@pytest.fixture(scope="module")
+def poisson_61_fit():
+    """The N=61 Poisson random-intercept fixture of the acceptance tests."""
+    gen = rng.stream(51)
+    grp = np.repeat(np.arange(10), 5)
+    u = gen.normal(size=10) * 1.5
+    y = gen.poisson(np.exp(u[grp])).astype(float)
+    spec = ModelSpec(make_family("poisson"), y=y, group=grp, tau_beta=0.5, re_prior=(1.0, 0.5))
+    return fit_model(spec)
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +250,129 @@ def test_summarize_leaves_no_reference_cycle():
     finally:
         if enabled:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# draws and summaries on the pool
+# ---------------------------------------------------------------------------
+
+
+def _force_workers(monkeypatch, count):
+    monkeypatch.setattr(parallel, "worker_count", lambda tasks: max(1, min(tasks, count)))
+
+
+def _shared_buffer(draws: np.ndarray):
+    """The mmap object behind a draw array in shared memory."""
+    base = draws
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj
+
+
+_SUMMARY_FIELDS = ("mean", "sd", "q025", "q50", "q975", "mode", "skewness")
+
+
+@pytest.mark.parametrize("fit_name", ["poisson_fit", "poisson_61_fit"])
+def test_pool_draws_and_summaries_equal_serial(fit_name, request, monkeypatch):
+    fit = request.getfixturevalue(fit_name)
+    cases = [("none", True, 4000), ("mean", True, 4000), ("skew", True, 4000), ("skew", False, 500)]
+    got = {}
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        for kind, use_table, count in cases:
+            js = sample_joint(fit, count, seed=17, kind=kind, use_table=use_table)
+            got[workers, kind, use_table] = js.draws.copy(), summarize(js)
+    for kind, use_table, _ in cases:
+        (serial, s1), (pooled, s2) = got[1, kind, use_table], got[2, kind, use_table]
+        assert np.array_equal(pooled, serial), (kind, use_table)
+        for name in _SUMMARY_FIELDS:
+            assert np.array_equal(getattr(s2, name), getattr(s1, name), equal_nan=True), name
+
+
+def test_pooled_sampling_leaves_no_reference_cycle(poisson_fit, monkeypatch):
+    # neither the pool nor its task function may keep the shared draws alive
+    _force_workers(monkeypatch, 2)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        samples = sample_joint(poisson_fit, 20000, seed=5)
+        assert isinstance(_shared_buffer(samples.draws), mmap.mmap)
+        draws_alive = weakref.ref(samples.draws)
+        buffer_alive = weakref.ref(_shared_buffer(samples.draws))
+        summarize(samples)
+        del samples
+        assert draws_alive() is None
+        assert buffer_alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sample_joint_edge_cases(poisson_fit, monkeypatch, workers):
+    _force_workers(monkeypatch, workers)
+    empty = sample_joint(poisson_fit, 0, seed=3)
+    assert empty.draws.shape == (0, poisson_fit.mutilde.shape[1])
+    assert empty.config.shape == (0,)
+    # a draw set in shared memory pickles as an ordinary one
+    js = sample_joint(poisson_fit, 300, seed=3)
+    assert isinstance(_shared_buffer(js.draws), mmap.mmap)
+    back = pickle.loads(pickle.dumps(js))
+    assert np.array_equal(back.draws, js.draws) and np.array_equal(back.config, js.config)
+    assert (back.names, back.kind, back.seed) == (js.names, js.kind, js.seed)
+
+
+def test_only_configurations_with_rows_become_tasks(poisson_fit, monkeypatch):
+    count, seed = 6, 8
+    sizes = np.bincount(_assign_configs(poisson_fit.weights, count, seed),
+                        minlength=poisson_fit.n_config)
+    assert np.any(sizes == 0) and np.count_nonzero(sizes) > 1
+    calls = []
+    real = sampler.sample_full_conditional
+
+    def record(fc, n, seed, kind, **kwargs):
+        calls.append((kwargs["salt"] - rng.SALT_MIXTURE_BASE, n))
+        return real(fc, n, seed, kind, **kwargs)
+
+    _force_workers(monkeypatch, 1)
+    monkeypatch.setattr(sampler, "sample_full_conditional", record)
+    sample_joint(poisson_fit, count, seed)
+    assert sorted(k for k, _ in calls) == np.flatnonzero(sizes).tolist()
+    assert all(n == sizes[k] for k, n in calls)
+    assert [n for _, n in calls] == sorted((n for _, n in calls), reverse=True)
+
+
+def _failing_in_children(real, error):
+    """``real`` as the parent calls it; in pool children it raises ``error``."""
+    parent = os.getpid()
+
+    def call(*args, **kwargs):
+        if os.getpid() != parent:
+            raise error
+        return real(*args, **kwargs)
+
+    return call
+
+
+def test_children_use_the_table_built_by_the_parent(poisson_fit, monkeypatch):
+    _force_workers(monkeypatch, 1)
+    serial = sample_joint(poisson_fit, 3000, seed=21).draws.copy()
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(
+        sgc, "default_table", _failing_in_children(sgc.default_table, RuntimeError("child table"))
+    )
+    assert np.array_equal(sample_joint(poisson_fit, 3000, seed=21).draws, serial)
+
+
+def test_child_exception_keeps_its_type(poisson_fit, monkeypatch):
+    _force_workers(monkeypatch, 2)
+    js = sample_joint(poisson_fit, 3000, seed=21)
+    draw_error, mode_error = IndexOutOfRange("draw in a child"), IndexOutOfRange("mode in a child")
+    monkeypatch.setattr(sampler, "sample_full_conditional",
+                        _failing_in_children(sampler.sample_full_conditional, draw_error))
+    monkeypatch.setattr(sampler, "_kde_mode", _failing_in_children(sampler._kde_mode, mode_error))
+    with pytest.raises(IndexOutOfRange, match="draw in a child"):
+        sample_joint(poisson_fit, 3000, seed=21)
+    with pytest.raises(IndexOutOfRange, match="mode in a child"):
+        summarize(js)
+    assert multiprocessing.active_children() == []
