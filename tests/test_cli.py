@@ -308,15 +308,19 @@ def test_bench_quantile_rerun_stability():
         assert 0.5 < ratio < 2.0
 
 
+def _package_env(env: dict) -> dict:
+    """``env`` with this package's source directory first on PYTHONPATH."""
+    src = str(Path(sgcinla.__file__).resolve().parents[1])
+    return dict(env, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+
+
 def test_import_leaves_scipy_stats_out():
     # scipy.stats costs about half a second of every cold start; only tests
     # and the bench-quantile oracle may import it
-    env = dict(os.environ)
-    src = str(Path(sgcinla.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sgcinla, sgcinla.cli, sys; assert 'scipy.stats' not in sys.modules"
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=_package_env(os.environ), capture_output=True,
+        text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
 
@@ -334,11 +338,10 @@ def _run_on_cpus(cpus, env, *argv):
 )
 def test_sample_outputs_equal_with_and_without_the_pool(poisson_run, tmp_path):
     _, out = poisson_run
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = _package_env(os.environ)
+    env["OPENBLAS_NUM_THREADS"] = "1"
     for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.pop(var, None)
-    src = str(Path(sgcinla.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     two = set(sorted(os.sched_getaffinity(0))[:2])
     written = {}
     for cpus, workers in ((two, 2), ({min(two)}, 1)):
