@@ -25,7 +25,7 @@ from .engine import FitResult
 from .errors import InsufficientSamples
 from .rng import SALT_CATEGORICAL, SALT_MIXTURE_BASE, stream
 from .sgc import CorrectionKind, as_kind, sample_full_conditional
-from .skewnormal import QuantileTable, default_table
+from .skewnormal import default_table
 
 
 @dataclass
@@ -70,7 +70,6 @@ def sample_joint(
     count: int,
     seed: int,
     kind=CorrectionKind.SKEW,
-    table: QuantileTable | None = None,
     use_table: bool = True,
 ) -> JointSamples:
     """Draw ``count`` joint posterior samples from a fitted model.
@@ -86,8 +85,8 @@ def sample_joint(
     if count < 0:
         raise ValueError("count must be nonnegative")
     kind = as_kind(kind)
-    if kind is CorrectionKind.SKEW and use_table and table is None:
-        table = default_table()  # built here, so pool children inherit it
+    # built here, so pool children inherit the table with its cubics
+    table = default_table() if kind is CorrectionKind.SKEW and use_table else None
     config = _assign_configs(fit.weights, count, seed)
     sizes = np.bincount(config, minlength=fit.n_config)
     out = _shared_array((count, fit.mutilde.shape[1]))

@@ -18,7 +18,7 @@ approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,6 +30,7 @@ from .rng import SALT_GMRF
 from .skewnormal import (
     GAMMA_ATTAINABLE,
     QuantileTable,
+    _groups,
     default_table,
     sn_cdf,
     sn_params_from_moments,
@@ -74,7 +75,6 @@ class FullConditionalSGC:
     mutilde: np.ndarray
     gamma: np.ndarray
     sigma: np.ndarray | None = None
-    _params: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
@@ -83,7 +83,7 @@ class FullConditionalSGC:
         n = self.mu.size
         if self.precision.dim != n or self.mutilde.size != n or self.gamma.size != n:
             raise DimensionMismatch("mu, mutilde, gamma and precision disagree in size")
-        if np.any(np.abs(self.gamma) >= GAMMA_ATTAINABLE):
+        if not np.all(np.abs(self.gamma) < GAMMA_ATTAINABLE):  # NaN fails too
             raise SkewnessOutOfRange("marginal skewness outside the attainable range")
         if self.sigma is None:
             self.sigma = np.sqrt(np.diag(covariance_from_precision(self.precision)))
@@ -91,18 +91,12 @@ class FullConditionalSGC:
             self.sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
             if self.sigma.size != n:
                 raise DimensionMismatch("sigma disagrees with mu in size")
-        if np.any(self.sigma <= 0):
+        if not np.all(self.sigma > 0):
             raise InvalidSpec("marginal sds must be positive")
 
     @property
     def dim(self) -> int:
         return self.mu.size
-
-    def marginal_params(self):
-        """Skew-normal parameters of every corrected margin (vectorized)."""
-        if self._params is None:
-            self._params = sn_params_from_moments(self.mutilde, self.sigma**2, self.gamma)
-        return self._params
 
 
 @dataclass(frozen=True)
@@ -150,29 +144,31 @@ def forward_transform(
     if kind is CorrectionKind.MEAN:
         return x + shift
 
-    out = np.empty_like(x)
     if use_table:
         table = table if table is not None else default_table()
-        idx = np.atleast_1d(table.index_of(fc.gamma))
-        identity = int(table.index_of(0.0))
-        for row in np.unique(idx):
-            cols = idx == row
-            if row == identity:
-                out[..., cols] = x[..., cols] + shift[cols]
-            else:
-                z = (x[..., cols] - fc.mu[cols]) / fc.sigma[cols]
-                out[..., cols] = fc.mutilde[cols] + fc.sigma[cols] * table.map_row(int(row), z)
+        keys, identity, mapper = table.index_of(fc.gamma), table.index_of(0.0), table.map_row
     else:
-        for val in np.unique(fc.gamma):
-            cols = fc.gamma == val
-            if val == 0.0:
-                out[..., cols] = x[..., cols] + shift[cols]
-            else:
-                z = (x[..., cols] - fc.mu[cols]) / fc.sigma[cols]
-                out[..., cols] = fc.mutilde[cols] + fc.sigma[cols] * standardized_map_direct(
-                    float(val), z
-                )
+        keys, identity, mapper = fc.gamma, 0.0, standardized_map_direct
+    out = np.empty_like(x)
+    for key, cols in _groups(keys):
+        if key == identity:
+            out[..., cols] = x[..., cols] + shift[cols]
+        else:
+            z = (x[..., cols] - fc.mu[cols]) / fc.sigma[cols]
+            out[..., cols] = fc.mutilde[cols] + fc.sigma[cols] * mapper(key, z)
     return out
+
+
+def _active_cdf(fc: FullConditionalSGC, u, active):
+    """Skew-normal parameters and cdf values of the ``active`` margins at ``u``.
+
+    Raises BoundaryEvaluation when a cdf value is exactly 0 or 1.
+    """
+    params = sn_params_from_moments(fc.mutilde[active], fc.sigma[active] ** 2, fc.gamma[active])
+    p = sn_cdf(params, u[..., active])
+    if np.any(p <= 0.0) or np.any(p >= 1.0):
+        raise BoundaryEvaluation("state lies at the boundary of the corrected support")
+    return params, p
 
 
 def inverse_transform(fc: FullConditionalSGC, u, kind=CorrectionKind.SKEW):
@@ -195,12 +191,7 @@ def inverse_transform(fc: FullConditionalSGC, u, kind=CorrectionKind.SKEW):
         out[..., zero] = u[..., zero] - shift[zero]
     active = ~zero
     if active.any():
-        params = sn_params_from_moments(
-            fc.mutilde[active], fc.sigma[active] ** 2, fc.gamma[active]
-        )
-        p = sn_cdf(params, u[..., active])
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
-            raise BoundaryEvaluation("state lies at the boundary of the corrected support")
+        _, p = _active_cdf(fc, u, active)
         out[..., active] = fc.mu[active] + fc.sigma[active] * ndtri(p)
     return out
 
@@ -225,12 +216,7 @@ def jacobian_terms(fc: FullConditionalSGC, u) -> JacobianTerms:
         dev[..., zero] = u[..., zero] - fc.mutilde[zero]
     active = ~zero
     if active.any():
-        params = sn_params_from_moments(
-            fc.mutilde[active], fc.sigma[active] ** 2, fc.gamma[active]
-        )
-        p = sn_cdf(params, u[..., active])
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
-            raise BoundaryEvaluation("state lies at the boundary of the corrected support")
+        params, p = _active_cdf(fc, u, active)
         inside = np.clip(p, CDF_CLIP, 1.0 - CDF_CLIP)
         clipped = int(np.count_nonzero(inside != p))
         z = ndtri(inside)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.special import ndtr, ndtri, owens_t
 
 from .errors import DimensionMismatch, SkewnessOutOfRange
@@ -74,7 +74,7 @@ def sn_params_from_moments(mean, variance, skewness) -> SkewNormalParams:
     g = np.asarray(skewness, dtype=float)
     if np.any(variance <= 0):
         raise ValueError("variance must be positive")
-    if np.any(np.abs(g) >= GAMMA_ATTAINABLE):
+    if not np.all(np.abs(g) < GAMMA_ATTAINABLE):  # NaN fails too
         raise SkewnessOutOfRange(
             f"|skewness| must be below {GAMMA_ATTAINABLE:.5f}, got {np.max(np.abs(g)):.5f}"
         )
@@ -226,28 +226,39 @@ def standardized_params(gamma: float) -> SkewNormalParams:
     return sn_params_from_moments(0.0, 1.0, gamma)
 
 
+def _groups(keys):
+    """Yield (key, positions) for each distinct value of ``keys``, in key order.
+
+    ``positions`` index the flattened ``keys`` in ascending order.  One
+    stable argsort finds every group; NaN keys each form a group of one.
+    """
+    flat = np.ravel(keys)
+    if flat.size == 0:
+        return
+    order = np.argsort(flat, kind="stable")
+    for positions in np.split(order, np.flatnonzero(np.diff(flat[order])) + 1):
+        yield flat[positions[0]], positions
+
+
 def standardized_map_direct(gamma, z):
     """Exact correction map g_gamma(z) = F_gamma^{-1}(Phi(z)).
 
     ``gamma`` may be a scalar or an array matching ``z``; array input is
-    grouped by unique value so each group runs one vectorized quantile
-    solve.  gamma = 0 returns z unchanged (identity map, exact).
+    grouped by value so each group runs one vectorized quantile solve.
+    gamma = 0 returns z unchanged (identity map, exact).
     """
     z = np.asarray(z, dtype=float)
     g = np.asarray(gamma, dtype=float)
     if g.ndim == 0:
         if float(g) == 0.0:
             return z.copy() if z.ndim else float(z)
-        if abs(float(g)) >= GAMMA_ATTAINABLE:
-            raise SkewnessOutOfRange(f"skewness {float(g)} outside the attainable range")
         return sn_quantile(standardized_params(float(g)), ndtr(z))
     if g.shape != z.shape:
         raise DimensionMismatch("gamma array must match z in shape")
-    out = np.empty_like(z)
-    for val in np.unique(g):
-        mask = g == val
-        out[mask] = standardized_map_direct(float(val), z[mask])
-    return out
+    flat, out = z.ravel(), np.empty(z.size)
+    for val, pos in _groups(g):
+        out[pos] = standardized_map_direct(float(val), flat[pos])
+    return out.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +279,11 @@ def _default_nodes(z_max: float, n_nodes: int) -> np.ndarray:
 class QuantileTable:
     """Tabulated correction maps over a regular skewness grid.
 
-    One monotone piecewise-cubic interpolant per grid skewness, evaluated
-    on shared z nodes.  Outside [-z_max, z_max] the map continues linearly
-    with the endpoint slope.  Lookup rounds the requested skewness to the
-    grid resolution; the gamma = 0 row is the exact identity.
+    One monotone piecewise-cubic interpolant (PCHIP) per grid skewness on
+    shared z nodes, all built at construction; a table never changes after
+    that.  Outside the nodes the map continues linearly with the endpoint
+    slope.  Lookup rounds the requested skewness to the grid resolution; the
+    gamma = 0 row is the exact identity.
     """
 
     def __init__(self, gamma_step: float, z_nodes: np.ndarray, values: np.ndarray):
@@ -285,9 +297,10 @@ class QuantileTable:
         self.gammas = np.round((np.arange(n_gamma) - self._half) * self.gamma_step, 10)
         if np.any(np.diff(self.values, axis=1) <= 0.0):
             raise ValueError("tabulated maps must be strictly increasing")
-        self._interp = [None] * n_gamma
-        self._slopes = [None] * n_gamma
-        self._dense = None
+        # every row's cubic at once: the same coefficients as one build per row
+        cubic = PchipInterpolator(self.z_nodes, self.values, axis=1)
+        self._coeffs = np.ascontiguousarray(np.moveaxis(cubic.c, -1, 0))
+        self._slopes = cubic.derivative()(self.z_nodes[[0, -1]])
 
     # -- construction ----------------------------------------------------
 
@@ -322,85 +335,30 @@ class QuantileTable:
     def gamma_max(self) -> float:
         return float(self.gammas[-1])
 
-    @property
-    def z_max(self) -> float:
-        return float(self.z_nodes[-1])
-
     def index_of(self, gamma) -> np.ndarray:
         """Row index for a skewness value, rounding to the grid resolution."""
         g = np.asarray(gamma, dtype=float)
-        if np.any(np.abs(g) > self.gamma_max + 0.5 * self.gamma_step):
+        if not np.all(np.abs(g) <= self.gamma_max + 0.5 * self.gamma_step):  # NaN fails too
             raise SkewnessOutOfRange(
                 f"|gamma| exceeds the tabulated range {self.gamma_max:.2f}"
             )
         idx = np.rint(g / self.gamma_step).astype(int) + self._half
         return np.clip(idx, 0, self.values.shape[0] - 1)
 
-    def _row(self, idx: int):
-        if self._interp[idx] is None:
-            self._interp[idx] = PchipInterpolator(self.z_nodes, self.values[idx])
-            der = self._interp[idx].derivative()
-            self._slopes[idx] = (float(der(self.z_nodes[0])), float(der(self.z_nodes[-1])))
-        return self._interp[idx], self._slopes[idx]
-
     def map_row(self, idx: int, z: np.ndarray) -> np.ndarray:
         """Evaluate row ``idx`` with linear continuation beyond the nodes."""
         if idx == self._half:
             return np.array(z, dtype=float, copy=True)
-        interp, (slope_lo, slope_hi) = self._row(idx)
+        slope_lo, slope_hi = self._slopes[idx]
         z = np.asarray(z, dtype=float)
-        out = interp(np.clip(z, self.z_nodes[0], self.z_nodes[-1]))
+        cubic = PPoly.construct_fast(self._coeffs[idx], self.z_nodes)
+        out = cubic(np.clip(z, self.z_nodes[0], self.z_nodes[-1]))
         low = z < self.z_nodes[0]
         high = z > self.z_nodes[-1]
         if low.any():
             out[low] = self.values[idx, 0] + slope_lo * (z[low] - self.z_nodes[0])
         if high.any():
             out[high] = self.values[idx, -1] + slope_hi * (z[high] - self.z_nodes[-1])
-        return out
-
-    def _ensure_dense(self):
-        """Stacked cubic coefficients of every row for one-pass mixed lookup."""
-        if self._dense is None:
-            coeffs = np.empty((self.values.shape[0], 4, self.z_nodes.size - 1))
-            slopes = np.empty((self.values.shape[0], 2))
-            for idx in range(self.values.shape[0]):
-                interp, (lo, hi) = self._row(idx)
-                coeffs[idx] = interp.c
-                slopes[idx] = (lo, hi)
-            self._dense = (coeffs, slopes)
-        return self._dense
-
-    def map_mixed(self, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Evaluate per-entry rows in one vectorized pass.
-
-        Same piecewise cubics as ``map_row``, evaluated by gathering each
-        entry's interval coefficients; identity entries are exact copies so
-        zero-skewness batches stay bit-identical to their input.
-        """
-        coeffs, slopes = self._ensure_dense()
-        z = np.asarray(z, dtype=float)
-        zc = np.clip(z, self.z_nodes[0], self.z_nodes[-1])
-        cell = np.clip(
-            np.searchsorted(self.z_nodes, zc, side="right") - 1,
-            0,
-            self.z_nodes.size - 2,
-        )
-        t = zc - self.z_nodes[cell]
-        c = coeffs[idx, :, cell]
-        out = ((c[..., 0] * t + c[..., 1]) * t + c[..., 2]) * t + c[..., 3]
-        low = z < self.z_nodes[0]
-        if low.any():
-            out[low] = self.values[idx[low], 0] + slopes[idx[low], 0] * (
-                z[low] - self.z_nodes[0]
-            )
-        high = z > self.z_nodes[-1]
-        if high.any():
-            out[high] = self.values[idx[high], -1] + slopes[idx[high], 1] * (
-                z[high] - self.z_nodes[-1]
-            )
-        identity = idx == self._half
-        if identity.any():
-            out[identity] = z[identity]
         return out
 
 
@@ -422,8 +380,8 @@ def fast_map(table: QuantileTable, z, gamma):
     Notes
     -----
     Entries whose rounded skewness is 0 pass through unchanged.  Mixed
-    batches gather each entry's cubic segment coefficients in a single
-    vectorized pass, so the cost is O(L log nodes) with no per-row loop.
+    batches are grouped by row, and each group goes through ``map_row``, so
+    every entry equals the scalar-gamma map of its own row bit for bit.
     """
     z = np.asarray(z, dtype=float)
     g = np.asarray(gamma, dtype=float)
@@ -431,4 +389,9 @@ def fast_map(table: QuantileTable, z, gamma):
         return table.map_row(int(table.index_of(g)), z)
     if g.shape != z.shape:
         raise DimensionMismatch("gamma array must match z in shape")
-    return table.map_mixed(table.index_of(g), z)
+    # the narrowest integer type, so that the stable sort is a radix sort
+    rows = table.index_of(g).astype(np.min_scalar_type(table.values.shape[0]))
+    flat, out = z.ravel(), np.empty(z.size)
+    for row, pos in _groups(rows):
+        out[pos] = table.map_row(int(row), flat[pos])
+    return out.reshape(z.shape)

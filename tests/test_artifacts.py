@@ -21,7 +21,7 @@ from sgcinla.artifacts import (
     write_summary_csv,
 )
 from sgcinla.engine import fit_model
-from sgcinla.errors import InvalidSpec
+from sgcinla.errors import InvalidSpec, SkewnessOutOfRange
 from sgcinla.lincomb import JointMomentSummary
 from sgcinla.sampler import sample_joint, summarize
 
@@ -139,6 +139,15 @@ def test_fit_round_trip_and_determinism(tmp_path):
     again = tmp_path / "fit2.bin"
     save_fit(again, fit_model(spec_from_config(gaussian_config())))
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_loaded_fit_with_nan_skewness_does_not_draw(tmp_path):
+    fit = fit_model(spec_from_config(gaussian_config()))
+    fit.gamma[0, 1] = np.nan
+    path = tmp_path / "fit.bin"
+    save_fit(path, fit)
+    with pytest.raises(SkewnessOutOfRange):
+        sample_joint(load_fit(path), 200, seed=3)
 
 
 def test_load_fit_rejects_foreign_files(tmp_path):

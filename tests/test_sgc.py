@@ -6,7 +6,7 @@ from scipy import stats
 from scipy.special import ndtri
 
 from sgcinla import rng
-from sgcinla.errors import BoundaryEvaluation, DimensionMismatch, InvalidSpec
+from sgcinla.errors import BoundaryEvaluation, DimensionMismatch, InvalidSpec, SkewnessOutOfRange
 from sgcinla.gmrf import PrecisionMatrix
 from sgcinla.sgc import (
     CDF_CLIP,
@@ -56,6 +56,20 @@ def test_sigma_recovered_from_precision():
     fc = make_pair()
     cov = np.array([[2.0, -0.9], [-0.9, 1.5]])
     np.testing.assert_allclose(fc.sigma, np.sqrt(np.diag(cov)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("field, error", [("gamma", SkewnessOutOfRange), ("sigma", InvalidSpec)])
+def test_nan_margin_rejected(field, error):
+    margins = dict(
+        mu=[1.0, -0.5],
+        precision=PrecisionMatrix(np.linalg.inv(np.array([[2.0, -0.9], [-0.9, 1.5]]))),
+        mutilde=[1.2, -0.4],
+        gamma=[0.6, -0.6],
+        sigma=[1.4, 1.2],
+    )
+    margins[field] = [np.nan, margins[field][1]]
+    with pytest.raises(error):
+        FullConditionalSGC(**margins)
 
 
 def test_forward_none_copies():

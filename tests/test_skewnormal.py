@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,13 @@ def test_skewness_bound_enforced():
         sn_params_from_moments(0.0, 1.0, 0.996)
     with pytest.raises(SkewnessOutOfRange):
         sn_params_from_moments(0.0, 1.0, -GAMMA_ATTAINABLE)
+
+
+def test_nan_skewness_rejected_by_moment_map():
+    with pytest.raises(SkewnessOutOfRange):
+        sn_params_from_moments(0.0, 1.0, np.nan)
+    with pytest.raises(SkewnessOutOfRange):
+        sn_params_from_moments(np.zeros(2), np.ones(2), np.array([0.3, np.nan]))
 
 
 def test_pdf_cdf_against_scipy():
@@ -173,6 +182,16 @@ def test_map_mixed_gamma_vector():
         assert abs(out[i] - standardized_map_direct(float(g[i]), float(z[i]))) < 1e-12
 
 
+def test_map_direct_mixed_2d_equals_scalar_solves():
+    gen = np.random.default_rng(29)
+    z = gen.uniform(-5.0, 5.0, (6, 7))
+    g = gen.choice([-0.7, -0.2, 0.0, 0.35, 0.9], size=z.shape)
+    out = standardized_map_direct(g, z)
+    expect = [standardized_map_direct(float(gi), float(zi)) for gi, zi in zip(g.flat, z.flat)]
+    assert out.shape == z.shape
+    assert np.array_equal(out, np.reshape(expect, z.shape))
+
+
 # ---------------------------------------------------------------------------
 # tabulated fast map
 # ---------------------------------------------------------------------------
@@ -249,6 +268,39 @@ def test_fast_map_linear_tails(table):
 def test_fast_map_rejects_out_of_range_gamma(table):
     with pytest.raises(SkewnessOutOfRange):
         fast_map(table, np.zeros(1), 0.999)
+
+
+def test_nan_skewness_rejected_by_table_lookup(table):
+    with pytest.raises(SkewnessOutOfRange):
+        table.index_of(np.nan)
+    with pytest.raises(SkewnessOutOfRange):
+        fast_map(table, np.array([0.5]), np.nan)
+    with pytest.raises(SkewnessOutOfRange):
+        fast_map(table, np.array([0.5, 0.5]), np.array([0.2, np.nan]))
+
+
+def test_fast_map_mixed_equals_scalar_rows(table):
+    # z inside and beyond the outer nodes at +-6; gamma off the grid, and 0
+    gen = np.random.default_rng(5)
+    z = np.concatenate([np.linspace(-8.0, 8.0, 161), 3.0 * gen.standard_normal(839)])
+    z = z.reshape(40, 25)
+    g = np.round(gen.uniform(-0.99, 0.99, z.shape), 3)
+    g[:, ::4] = 0.0
+    got = fast_map(table, z, g)
+    assert got.shape == z.shape
+    for val in np.unique(g):
+        mask = g == val
+        assert np.array_equal(got[mask], fast_map(table, z, float(val))[mask]), val
+
+
+def test_table_is_unchanged_by_lookups():
+    fresh = QuantileTable.build()
+    before = pickle.dumps(fresh)
+    z = np.linspace(-7.0, 7.0, 29)
+    for idx in range(fresh.values.shape[0]):
+        fresh.map_row(idx, z)
+    fast_map(fresh, np.tile(z, 3), np.repeat([-0.5, 0.0, 0.31], z.size))
+    assert pickle.dumps(fresh) == before
 
 
 def test_fast_map_reproducible(table):
