@@ -1,9 +1,8 @@
 """Independent tasks on the cores the BLAS leaves idle.
 
 One rule picks the worker count and one map runs the tasks, serially or on
-a ``fork`` process pool.  The fit's (grid point, component) refinements,
-the sampler's per-configuration draws and the summaries' per-component
-kernel modes all go through :func:`map_tasks`.  Forked children inherit
+a ``fork`` process pool.  The fit's (grid point, component) refinements
+and the sampler's per-configuration draws go through :func:`map_tasks`.  Forked children inherit
 the caller's state and BLAS thread count, so each task computes what it
 would compute in the caller, bit for bit.
 """

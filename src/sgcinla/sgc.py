@@ -83,6 +83,8 @@ class FullConditionalSGC:
         n = self.mu.size
         if self.precision.dim != n or self.mutilde.size != n or self.gamma.size != n:
             raise DimensionMismatch("mu, mutilde, gamma and precision disagree in size")
+        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.mutilde))):
+            raise InvalidSpec("marginal means must be finite")
         if not np.all(np.abs(self.gamma) < GAMMA_ATTAINABLE):  # NaN fails too
             raise SkewnessOutOfRange("marginal skewness outside the attainable range")
         if self.sigma is None:

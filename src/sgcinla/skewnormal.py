@@ -72,7 +72,7 @@ def sn_params_from_moments(mean, variance, skewness) -> SkewNormalParams:
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
     g = np.asarray(skewness, dtype=float)
-    if np.any(variance <= 0):
+    if not np.all(variance > 0):  # NaN fails too
         raise ValueError("variance must be positive")
     if not np.all(np.abs(g) < GAMMA_ATTAINABLE):  # NaN fails too
         raise SkewnessOutOfRange(

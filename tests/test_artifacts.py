@@ -150,6 +150,15 @@ def test_loaded_fit_with_nan_skewness_does_not_draw(tmp_path):
         sample_joint(load_fit(path), 200, seed=3)
 
 
+def test_loaded_fit_with_nan_mean_does_not_draw(tmp_path):
+    fit = fit_model(spec_from_config(gaussian_config()))
+    fit.mutilde[0, 1] = np.nan
+    path = tmp_path / "fit.bin"
+    save_fit(path, fit)
+    with pytest.raises(InvalidSpec):
+        sample_joint(load_fit(path), 200, seed=3)
+
+
 def test_load_fit_rejects_foreign_files(tmp_path):
     path = tmp_path / "notafit.bin"
     path.write_bytes(b"GARBAGE!" + b"\x00" * 16)

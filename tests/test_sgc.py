@@ -58,7 +58,11 @@ def test_sigma_recovered_from_precision():
     np.testing.assert_allclose(fc.sigma, np.sqrt(np.diag(cov)), rtol=1e-12)
 
 
-@pytest.mark.parametrize("field, error", [("gamma", SkewnessOutOfRange), ("sigma", InvalidSpec)])
+@pytest.mark.parametrize(
+    "field, error",
+    [("gamma", SkewnessOutOfRange), ("sigma", InvalidSpec), ("mu", InvalidSpec),
+     ("mutilde", InvalidSpec)],
+)
 def test_nan_margin_rejected(field, error):
     margins = dict(
         mu=[1.0, -0.5],

@@ -94,6 +94,13 @@ def test_nan_skewness_rejected_by_moment_map():
         sn_params_from_moments(np.zeros(2), np.ones(2), np.array([0.3, np.nan]))
 
 
+def test_nan_variance_rejected_by_moment_map():
+    with pytest.raises(ValueError, match="variance"):
+        sn_params_from_moments(0.0, np.nan, 0.3)
+    with pytest.raises(ValueError, match="variance"):
+        sn_params_from_moments(np.zeros(2), np.array([1.0, np.nan]), np.full(2, 0.3))
+
+
 def test_pdf_cdf_against_scipy():
     p = sn_params_from_moments(0.4, 2.0, -0.55)
     xs = np.linspace(-6, 6, 201)
