@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
+from . import parallel
 from .errors import DimensionMismatch, NotPositiveDefinite, RankDeficientConstraint
 from .rng import SALT_GMRF, stream
 
@@ -219,6 +220,49 @@ def apply_constraints(x: np.ndarray, q: PrecisionMatrix, con: LinearConstraint) 
     return v - (qict @ lam).T.reshape(v.shape)
 
 
+# Rows per block of Gaussian draws under a one-thread BLAS: a block of normals
+# and its solve stay in the per-core cache, and a sampler maps each block
+# while it is still there.  A multi-threaded BLAS solves all rows at once:
+# each block's solve waits for every BLAS thread, and with the default two
+# threads and the second of two cores busy, 1e5 draws at N=61 took 0.48 s
+# in blocks against 0.25 s in one solve.  Samplers still map the rows of
+# one solve in blocks of this size.
+_BLOCK_ROWS = 512
+
+
+def gmrf_blocks(
+    mean: np.ndarray, q: PrecisionMatrix, count: int, seed: int, salt: int = SALT_GMRF
+):
+    """Yield ``(start, draws)`` for ``count`` unconstrained draws from N(mean, Q^-1).
+
+    The rows come in blocks of ``_BLOCK_ROWS`` when the BLAS runs one
+    thread (:func:`parallel.blas_threads`), else in one block, in order and
+    all from one stream, so their concatenation is :func:`sample_gmrf`'s
+    result.  Each block solves L.T x = z for its own normals, passed in the
+    same transposed layout as a one-shot solve, and every column of a solve
+    with two or more columns comes out as in the one-shot solve, at a fixed
+    BLAS thread count.  A solve of one column takes another BLAS path whose
+    bits differ, so a last block of one row joins the block before it; only
+    a one-row draw is solved alone, as it is in one shot.
+    """
+    mu = np.asarray(mean, dtype=float)
+    if mu.shape != (q.dim,):
+        raise DimensionMismatch(f"mean has shape {mu.shape}, expected ({q.dim},)")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    fac = q.factor()
+    gen = stream(seed, salt)
+    size = _BLOCK_ROWS if parallel.blas_threads() == 1 else count
+    start = 0
+    while start < count:
+        rows = count - start
+        if rows != size + 1:
+            rows = min(rows, size)
+        z = gen.standard_normal((rows, q.dim))
+        yield start, mu + fac.half_solve_t(z.T).T
+        start += rows
+
+
 def sample_gmrf(
     mean: np.ndarray,
     q: PrecisionMatrix,
@@ -242,16 +286,15 @@ def sample_gmrf(
 
     Returns
     -------
-    (count, N) array, one draw per row.
+    (count, N) array, one draw per row, drawn block by block
+    (:func:`gmrf_blocks`).
     """
-    mu = np.asarray(mean, dtype=float)
-    if mu.shape != (q.dim,):
-        raise DimensionMismatch(f"mean has shape {mu.shape}, expected ({q.dim},)")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    fac = q.factor()
-    z = stream(seed, salt).standard_normal((count, q.dim))
-    draws = mu + fac.half_solve_t(z.T).T
+    draws = np.empty((max(count, 0), q.dim))
+    for start, block in gmrf_blocks(mean, q, count, seed, salt):
+        if block.shape[0] == count:
+            draws = block
+        else:
+            draws[start : start + block.shape[0]] = block
     if constraint is not None:
         draws = apply_constraints(draws, q, constraint)
     return draws

@@ -1,7 +1,8 @@
 """Independent tasks on the cores the BLAS leaves idle.
 
 One rule picks the worker count and one map runs the tasks, serially or on
-a ``fork`` process pool.  The fit's (grid point, component) refinements
+a ``fork`` process pool; :func:`blas_threads` reads the BLAS thread count
+that the rule, and the Gaussian draws' block size, follow.  The fit's (grid point, component) refinements
 and the sampler's per-configuration draws go through :func:`map_tasks`.  Forked children inherit
 the caller's state and BLAS thread count, so each task computes what it
 would compute in the caller, bit for bit.
@@ -31,13 +32,21 @@ def worker_count(tasks: int) -> int:
         return 1
     if threading.active_count() > 1 or multiprocessing.current_process().daemon:
         return 1
+    return max(1, min(tasks, _cpus() // blas_threads()))
+
+
+def _cpus() -> int:
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call outside Linux
-        cpus = os.cpu_count() or 1
+        return os.cpu_count() or 1
+
+
+def blas_threads() -> int:
+    """The BLAS's thread count: the largest positive count among the thread
+    variables, or every core when none is set."""
     counts = [int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS) if v and v.isdigit()]
-    blas_threads = max((c for c in counts if c > 0), default=cpus)
-    return max(1, min(tasks, cpus // blas_threads))
+    return max((c for c in counts if c > 0), default=_cpus())
 
 
 # The task function of the running pool, set in the caller just before the

@@ -8,10 +8,11 @@ and correction kind are reproducible bit for bit, and the Gaussian draws
 underneath are shared between correction kinds.
 
 The per-configuration draws are independent tasks, run by
-:func:`parallel.map_tasks` on the cores the BLAS leaves idle, and are
-bit-identical however many processes ran them, at a fixed BLAS thread
-count.  Summaries are computed in the calling process; their kernel modes
-evaluate the exact density only at the few grid points that a binned
+:func:`parallel.map_tasks` on the cores the BLAS leaves idle (small calls
+stay in the calling process).  They are bit-identical however many
+processes ran them and whatever block size built them, at a fixed BLAS
+thread count.  Summaries are computed in the calling process; their kernel
+modes evaluate the exact density only at the few grid points that a binned
 bound leaves in contention.
 """
 
@@ -26,7 +27,7 @@ from . import parallel
 from .engine import FitResult
 from .errors import InsufficientSamples
 from .rng import SALT_CATEGORICAL, SALT_MIXTURE_BASE, stream
-from .sgc import CorrectionKind, as_kind, sample_full_conditional
+from .sgc import CorrectionKind, as_kind, full_conditional_blocks, maps_in_blocks
 from .skewnormal import default_table
 
 
@@ -67,6 +68,19 @@ def _shared_array(shape: tuple[int, int]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, nbytes), dtype=float).reshape(shape)
 
 
+# Draws with fewer elements (rows times dimension) than this run in the
+# calling process, because a fork pool costs about 20 ms to start.  Medians
+# of 7 calls, one BLAS thread, in-process against 2 workers on 2 cores:
+# N=61 fit, 3000 rows (1.8e5 elements) 21 against 39 ms, 1e4 rows (6.1e5)
+# 56 against 55 ms, 2e4 rows (1.2e6) 106 against 91 ms; N=241 fit, 3000
+# rows (7.2e5) 47 against 64 ms, 5000 rows (1.2e6) 85 against 77 ms.  Draws
+# that are not corrected block by block (sgc.maps_in_blocks: the exact skew
+# map, which costs per call) keep the pool at every size: 50 rows of the
+# N=61 fit take 115 ms in-process and 102 ms on two workers, 1e4 rows 653
+# against 452 ms.
+_POOL_MIN_ELEMENTS = 1_000_000
+
+
 def sample_joint(
     fit: FitResult,
     count: int,
@@ -81,8 +95,12 @@ def sample_joint(
     and the underlying Gaussian draws row for row.
 
     Each configuration that received rows is one task, heaviest first.  A
-    task writes its block straight into the output array, which lives in
-    shared memory, so no draws cross a pipe.
+    task walks its draws block by block (:func:`sgc.full_conditional_blocks`)
+    and writes each corrected block straight into its rows of the output
+    array, which lives in shared memory, so no draws cross a pipe.  Calls
+    with fewer than ``_POOL_MIN_ELEMENTS`` output elements run in this
+    process, if their draws are corrected block by block
+    (:func:`sgc.maps_in_blocks`).
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -94,7 +112,8 @@ def sample_joint(
     out = _shared_array((count, fit.mutilde.shape[1]))
 
     def draw(k: int) -> None:
-        out[config == k] = sample_full_conditional(
+        rows = np.flatnonzero(config == k)
+        for start, block in full_conditional_blocks(
             fit.sgc(k),
             int(sizes[k]),
             seed,
@@ -102,10 +121,15 @@ def sample_joint(
             table=table,
             use_table=use_table,
             salt=SALT_MIXTURE_BASE + k,
-        )
+        ):
+            out[rows[start : start + block.shape[0]]] = block
 
     tasks = sorted(np.flatnonzero(sizes).tolist(), key=lambda k: -sizes[k])
-    parallel.map_tasks(draw, tasks)
+    if out.size < _POOL_MIN_ELEMENTS and maps_in_blocks(kind, use_table):
+        for k in tasks:
+            draw(k)
+    else:
+        parallel.map_tasks(draw, tasks)
     return JointSamples(
         draws=out, config=config, names=tuple(fit.names), kind=kind, seed=seed
     )

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import BoundaryEvaluation, DimensionMismatch, InvalidSpec, SkewnessOutOfRange
-from .gmrf import _LOG_2PI, PrecisionMatrix, covariance_from_precision, sample_gmrf
+from .gmrf import _BLOCK_ROWS, _LOG_2PI, PrecisionMatrix, covariance_from_precision, gmrf_blocks, sample_gmrf
 from .rng import SALT_GMRF
 from .skewnormal import (
     GAMMA_ATTAINABLE,
@@ -139,26 +139,51 @@ def forward_transform(
     skew correction degenerates to the mean correction bit for bit.
     """
     x = _check_state(fc, x)
+    return _forward_map(fc, kind, table, use_table)(x)
+
+
+def _forward_map(fc: FullConditionalSGC, kind, table: QuantileTable | None, use_table: bool):
+    """:func:`forward_transform` of ``fc`` as a function of the states alone.
+
+    Everything that depends on ``fc`` and the kind alone (the identity
+    columns, table rows and per-column constants) is settled here once, so
+    a sampler can map its draws block by block at no extra cost per block.
+    """
     kind = as_kind(kind)
     shift = fc.mutilde - fc.mu
     if kind is CorrectionKind.NONE:
-        return x.copy()
+        return lambda x: x.copy()
     if kind is CorrectionKind.MEAN:
-        return x + shift
+        return lambda x: x + shift
 
     if use_table:
         table = table if table is not None else default_table()
-        keys, identity, mapper = table.index_of(fc.gamma), table.index_of(0.0), table.map_row
+        rows = table.index_of(fc.gamma)
+        identity = rows == table.index_of(0.0)
     else:
-        keys, identity, mapper = fc.gamma, 0.0, standardized_map_direct
-    out = np.empty_like(x)
-    for key, cols in _groups(keys):
-        if key == identity:
-            out[..., cols] = x[..., cols] + shift[cols]
+        identity = fc.gamma == 0.0
+    kept, mapped = np.flatnonzero(identity), np.flatnonzero(~identity)
+    kept_shift = shift[kept]
+    mu, sigma, mutilde = fc.mu[mapped], fc.sigma[mapped], fc.mutilde[mapped]
+    if use_table:
+        rows = rows[mapped]
+    else:
+        groups = list(_groups(fc.gamma[mapped]))
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x)
+        out[..., kept] = x[..., kept] + kept_shift
+        z = (x[..., mapped] - mu) / sigma
+        if use_table:
+            g = table.map_rows(rows, z)
         else:
-            z = (x[..., cols] - fc.mu[cols]) / fc.sigma[cols]
-            out[..., cols] = fc.mutilde[cols] + fc.sigma[cols] * mapper(key, z)
-    return out
+            g = np.empty_like(z)
+            for gamma, cols in groups:
+                g[..., cols] = standardized_map_direct(gamma, z[..., cols])
+        out[..., mapped] = mutilde + sigma * g
+        return out
+
+    return apply
 
 
 def _active_cdf(fc: FullConditionalSGC, u, active):
@@ -278,6 +303,40 @@ def correction_delta(fc: FullConditionalSGC) -> float:
     return 0.5 * quad - log_jac
 
 
+def maps_in_blocks(kind, use_table: bool = True) -> bool:
+    """Whether :func:`full_conditional_blocks` corrects its draws block by block.
+
+    Every correction but the exact skew map costs a little per row.  The
+    exact map pays about a millisecond per call and per distinct skewness,
+    so it corrects all rows in one block.
+    """
+    return use_table or as_kind(kind) is not CorrectionKind.SKEW
+
+
+def full_conditional_blocks(
+    fc: FullConditionalSGC,
+    count: int,
+    seed: int,
+    kind=CorrectionKind.SKEW,
+    table: QuantileTable | None = None,
+    use_table: bool = True,
+    salt: int = SALT_GMRF,
+):
+    """Yield ``(start, draws)`` blocks of :func:`sample_full_conditional`'s rows.
+
+    The Gaussian draws (:func:`gmrf_blocks`) are corrected at most
+    ``_BLOCK_ROWS`` rows at a time, while they are still in cache, unless
+    :func:`maps_in_blocks` says the correction goes in one block.
+    """
+    forward = _forward_map(fc, kind, table, use_table)
+    if not maps_in_blocks(kind, use_table):
+        yield 0, forward(sample_gmrf(fc.mu, fc.precision, count, seed, salt=salt))
+        return
+    for start, x in gmrf_blocks(fc.mu, fc.precision, count, seed, salt):
+        for i in range(0, x.shape[0], _BLOCK_ROWS):
+            yield start + i, forward(x[i : i + _BLOCK_ROWS])
+
+
 def sample_full_conditional(
     fc: FullConditionalSGC,
     count: int,
@@ -293,5 +352,7 @@ def sample_full_conditional(
     salt, so corrections are directly comparable path by path; the mean and
     skew kinds agree bit for bit wherever the skewness rounds to zero.
     """
-    draws = sample_gmrf(fc.mu, fc.precision, count, seed, salt=salt)
-    return forward_transform(fc, draws, kind, table=table, use_table=use_table)
+    out = np.empty((max(count, 0), fc.dim))
+    for start, block in full_conditional_blocks(fc, count, seed, kind, table, use_table, salt):
+        out[start : start + block.shape[0]] = block
+    return out

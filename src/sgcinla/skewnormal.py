@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, PPoly
+from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtr, ndtri, owens_t
 
 from .errors import DimensionMismatch, SkewnessOutOfRange
@@ -159,6 +159,13 @@ def _start_moments(params: SkewNormalParams):
     return moments[inverse, 0], moments[inverse, 1]
 
 
+# Levels in [_BRACKET_LEVEL, 1 - _BRACKET_LEVEL] = [Phi(-8), 1 - Phi(-8)] need
+# no bracket check when both ends lie _BRACKET_Z standard units out:
+# 2 Phi(-8.5) is about 1.9e-17, 33 times below Phi(-8).
+_BRACKET_LEVEL = float(ndtr(-8.0))
+_BRACKET_Z = 8.5
+
+
 def sn_quantile(params: SkewNormalParams, q, tol: float = 1e-12, max_iter: int = 80):
     """Quantile by safeguarded Newton iteration, vectorized in q.
 
@@ -183,15 +190,27 @@ def sn_quantile(params: SkewNormalParams, q, tol: float = 1e-12, max_iter: int =
 
     lo = np.full_like(qv, params.xi - 9.0 * params.omega)
     hi = np.full_like(qv, params.xi + 9.0 * params.omega)
+    # The density is at most 2 phi(z) / omega, so F(lo) <= 2 Phi(z_lo) and
+    # 1 - F(hi) <= 2 Phi(-z_hi).  With both ends at least _BRACKET_Z
+    # standard units out, both lie below _BRACKET_LEVEL, and the bracket
+    # holds without a cdf call for every level in
+    # [_BRACKET_LEVEL, 1 - _BRACKET_LEVEL]; only the others are checked.
+    check = np.flatnonzero(
+        (qv < _BRACKET_LEVEL)
+        | (qv > 1.0 - _BRACKET_LEVEL)
+        | ((lo - params.xi) / params.omega > -_BRACKET_Z)
+        | ((hi - params.xi) / params.omega < _BRACKET_Z)
+    )
     # widen for extreme levels until the bracket is valid
-    for _ in range(6):
-        bad_lo = sn_cdf(params, lo) > qv
-        bad_hi = sn_cdf(params, hi) < qv
+    for _ in range(6 if check.size else 0):
+        pc, lc, hc, qc = _take(params, check), lo[check], hi[check], qv[check]
+        bad_lo = sn_cdf(pc, lc) > qc
+        bad_hi = sn_cdf(pc, hc) < qc
         if not (bad_lo.any() or bad_hi.any()):
             break
-        span = hi - lo
-        lo = np.where(bad_lo, lo - span, lo)
-        hi = np.where(bad_hi, hi + span, hi)
+        span = hc - lc
+        lo[check] = np.where(bad_lo, lc - span, lc)
+        hi[check] = np.where(bad_hi, hc + span, hc)
 
     # start from the moment-matched normal quantile, then Newton with a
     # bisection safeguard: steps leaving the bracket fall back to its middle
@@ -265,6 +284,11 @@ def standardized_map_direct(gamma, z):
 # tabulated fast map
 # ---------------------------------------------------------------------------
 
+# Points per slice of the table kernel: its dozen temporaries of this length
+# stay in a core's cache.
+_SLICE_ELEMENTS = 16384
+
+
 def _default_nodes(z_max: float, n_nodes: int) -> np.ndarray:
     """Node layout: equispaced core on [-3.5, 3.5] plus sparse tail nodes."""
     tail = np.array([4.0, 5.0, 6.0])
@@ -299,8 +323,21 @@ class QuantileTable:
             raise ValueError("tabulated maps must be strictly increasing")
         # every row's cubic at once: the same coefficients as one build per row
         cubic = PchipInterpolator(self.z_nodes, self.values, axis=1)
-        self._coeffs = np.ascontiguousarray(np.moveaxis(cubic.c, -1, 0))
         self._slopes = cubic.derivative()(self.z_nodes[[0, -1]])
+        # (power, row, cell), highest power first; the constant term is stored
+        # as 0.0 + c, the first step of PPoly's sum (it turns -0.0 into 0.0)
+        self._coeffs = np.ascontiguousarray(cubic.c.transpose(0, 2, 1))
+        self._coeffs[3] += 0.0
+        # O(1) cell lookup: buckets at most half the smallest node gap wide,
+        # so a bucket holds at most one node and a point's cell is its
+        # bucket's cell or a neighbour of it
+        x = self.z_nodes
+        buckets = int(np.ceil(2.0 * (x[-1] - x[0]) / np.min(np.diff(x))))
+        self._per_width = buckets / (x[-1] - x[0])
+        edges = x[0] + np.arange(buckets) / self._per_width
+        self._bucket_cell = np.searchsorted(x, edges, side="right") - 1
+        # the upper edge of each cell; the last cell also holds x[-1]
+        self._upper = np.append(x[1:-1], np.inf)
 
     # -- construction ----------------------------------------------------
 
@@ -349,16 +386,63 @@ class QuantileTable:
         """Evaluate row ``idx`` with linear continuation beyond the nodes."""
         if idx == self._half:
             return np.array(z, dtype=float, copy=True)
-        slope_lo, slope_hi = self._slopes[idx]
+        return self.map_rows(idx, z)
+
+    def map_rows(self, rows, z) -> np.ndarray:
+        """Evaluate row ``rows[i]`` at ``z[i]``; ``rows`` broadcasts against ``z``.
+
+        Each point takes the cell x[j] <= z < x[j+1] (z = x[-1] in the last
+        cell) that scipy's ``PPoly`` finds by binary search, here in O(1):
+        its bucket's cell, then one correction step each way against the
+        nodes.  The cubic is summed in ``PPoly``'s order,
+        ((0 + c3) + c2 s) + c1 (s s) + c0 ((s s) s), so every value equals
+        ``PPoly``'s bit for bit.  Beyond the outer nodes the map continues
+        linearly with the end slopes, NaN stays NaN and +-inf maps to +-inf.
+        Points on the identity row pass through unchanged.  Long inputs go
+        through in slices along the first axis that stay in cache.
+        """
         z = np.asarray(z, dtype=float)
-        cubic = PPoly.construct_fast(self._coeffs[idx], self.z_nodes)
-        out = cubic(np.clip(z, self.z_nodes[0], self.z_nodes[-1]))
-        low = z < self.z_nodes[0]
-        high = z > self.z_nodes[-1]
-        if low.any():
-            out[low] = self.values[idx, 0] + slope_lo * (z[low] - self.z_nodes[0])
-        if high.any():
-            out[high] = self.values[idx, -1] + slope_hi * (z[high] - self.z_nodes[-1])
+        rows = np.asarray(rows)
+        if z.ndim == 0:
+            return self._map_slice(rows, z.reshape(1)).reshape(())
+        out = np.empty_like(z)
+        step = max(1, _SLICE_ELEMENTS * z.shape[0] // max(z.size, 1))
+        along = rows.ndim == z.ndim and rows.shape[0] > 1
+        for i in range(0, z.shape[0], step):
+            part = slice(i, i + step)
+            out[part] = self._map_slice(rows[part] if along else rows, z[part])
+        return out
+
+    def _map_slice(self, rows, z):
+        """:meth:`map_rows` on one slice of at least one dimension."""
+        x = self.z_nodes
+        zc = np.clip(z, x[0], x[-1])
+        t = np.fmin((zc - x[0]) * self._per_width, self._bucket_cell.size - 1)  # NaN goes last
+        cell = self._bucket_cell.take(t.astype(np.intp))
+        cell += zc >= self._upper.take(cell)
+        cell -= zc < x.take(cell)
+        s = zc - x.take(cell)
+        cell += rows * (x.size - 1)
+        c = self._coeffs.reshape(4, -1)
+        out = c[3].take(cell)
+        term = c[2].take(cell)
+        term *= s
+        out += term
+        term = c[1].take(cell)
+        ss = s * s
+        term *= ss
+        out += term
+        term = c[0].take(cell)
+        ss *= s
+        term *= ss
+        out += term
+        for end, side in ((0, z < x[0]), (-1, z > x[-1])):
+            if side.any():
+                r = np.broadcast_to(rows, z.shape)[side]
+                out[side] = self.values[r, end] + self._slopes[r, end] * (z[side] - x[end])
+        identity = rows == self._half
+        if identity.any():
+            np.copyto(out, z, where=identity)
         return out
 
 
@@ -380,7 +464,7 @@ def fast_map(table: QuantileTable, z, gamma):
     Notes
     -----
     Entries whose rounded skewness is 0 pass through unchanged.  Mixed
-    batches are grouped by row, and each group goes through ``map_row``, so
+    batches go through ``QuantileTable.map_rows`` with one row per entry, so
     every entry equals the scalar-gamma map of its own row bit for bit.
     """
     z = np.asarray(z, dtype=float)
@@ -389,9 +473,4 @@ def fast_map(table: QuantileTable, z, gamma):
         return table.map_row(int(table.index_of(g)), z)
     if g.shape != z.shape:
         raise DimensionMismatch("gamma array must match z in shape")
-    # the narrowest integer type, so that the stable sort is a radix sort
-    rows = table.index_of(g).astype(np.min_scalar_type(table.values.shape[0]))
-    flat, out = z.ravel(), np.empty(z.size)
-    for row, pos in _groups(rows):
-        out[pos] = table.map_row(int(row), flat[pos])
-    return out.reshape(z.shape)
+    return table.map_rows(table.index_of(g), z)

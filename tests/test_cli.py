@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sgcinla
-from sgcinla import engine, rng
+from sgcinla import engine, rng, sampler
 from sgcinla.artifacts import SUMMARY_COLUMNS, RunManifest, load_fit
 from sgcinla.cli import main
 from sgcinla.errors import NoConvergence
@@ -343,6 +343,9 @@ def test_sample_outputs_equal_with_and_without_the_pool(poisson_run, tmp_path):
     for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.pop(var, None)
     two = set(sorted(os.sched_getaffinity(0))[:2])
+    count = 30000
+    # large enough that sample_joint takes the pool when it has two workers
+    assert count * len(load_fit(out / "fit.bin").names) >= sampler._POOL_MIN_ELEMENTS
     written = {}
     for cpus, workers in ((two, 2), ({min(two)}, 1)):
         # the pool is on for two CPUs and off for one
@@ -355,7 +358,7 @@ def test_sample_outputs_equal_with_and_without_the_pool(poisson_run, tmp_path):
         (run_dir / "fit.bin").write_bytes((out / "fit.bin").read_bytes())
         done = _run_on_cpus(
             cpus, env, "-m", "sgcinla.cli", "sample", "--out", str(run_dir),
-            "--count", "20000", "--seed", "4", "--kind", "skew",
+            "--count", str(count), "--seed", "4", "--kind", "skew",
         )
         assert done.returncode == 0, done.stderr
         written[workers] = [(run_dir / name).read_bytes()

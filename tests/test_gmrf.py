@@ -16,6 +16,8 @@ from sgcinla import (
     factorize,
     sample_gmrf,
 )
+from sgcinla import gmrf, parallel
+from sgcinla.rng import SALT_GMRF, stream
 
 
 def random_spd(rng, n):
@@ -151,6 +153,84 @@ def test_sample_gmrf_covariance_recovery():
     est = np.cov(draws.T)
     assert np.max(np.abs(est - target) / np.abs(target)) < 0.03
     assert np.max(np.abs(draws.mean(axis=0) - [1.0, 2.0])) < 0.03
+
+
+def _one_shot_draws(mean, q, count, seed, constraint=None):
+    """All normals in one call and one triangular solve: the unblocked draw."""
+    z = stream(seed, SALT_GMRF).standard_normal((count, q.dim))
+    draws = mean + q.factor().half_solve_t(z.T).T
+    return draws if constraint is None else apply_constraints(draws, q, constraint)
+
+
+_BLOCK = gmrf._BLOCK_ROWS
+
+
+def _blas_threads(monkeypatch, count):
+    """Make ``gmrf_blocks`` size its blocks for ``count`` BLAS threads.
+
+    Only the block size follows; the BLAS keeps its own thread count."""
+    monkeypatch.setattr(parallel, "blas_threads", lambda: count)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [0, 1, 2, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1, 3 * _BLOCK + 17],
+    ids=["0", "1", "2", "block", "block+1", "many+1", "many"],
+)
+@pytest.mark.parametrize("constrained", [False, True], ids=["free", "constrained"])
+@pytest.mark.parametrize("threads", [1, 2], ids=["blocks", "one-block"])
+def test_blocked_draws_equal_one_shot_draws(count, constrained, threads, monkeypatch):
+    _blas_threads(monkeypatch, threads)
+    rng = np.random.default_rng(12)
+    q = PrecisionMatrix(random_spd(rng, 61))
+    mean = rng.standard_normal(61)
+    con = None
+    if constrained:
+        con = LinearConstraint(C=rng.standard_normal((2, 61)), e=np.array([0.5, -1.0]))
+    got = sample_gmrf(mean, q, count, seed=31, constraint=con)
+    assert got.shape == (count, 61)
+    assert np.array_equal(got, _one_shot_draws(mean, q, count, 31, con))
+
+
+# A block of one row would be solved through the BLAS's one-column path,
+# which rounds differently; gmrf_blocks never makes one unless asked for one row.
+@pytest.mark.parametrize("rows", [2, 7, 64, 256, 1024, 4096])
+def test_draws_do_not_depend_on_the_block_size(rows, monkeypatch):
+    _blas_threads(monkeypatch, 1)
+    rng = np.random.default_rng(5)
+    q = PrecisionMatrix(random_spd(rng, 61))
+    mean = rng.standard_normal(61)
+    monkeypatch.setattr(gmrf, "_BLOCK_ROWS", rows)
+    count = 2 * rows + 150
+    blocks = list(gmrf.gmrf_blocks(mean, q, count, seed=4))
+    assert [start for start, _ in blocks] == list(range(0, count, rows))
+    got = np.concatenate([b for _, b in blocks])
+    assert np.array_equal(got, _one_shot_draws(mean, q, count, 4))
+
+
+def test_a_last_row_joins_the_block_before_it(monkeypatch):
+    _blas_threads(monkeypatch, 1)
+    q = PrecisionMatrix(np.eye(3))
+    sizes = lambda count: [b.shape[0] for _, b in gmrf.gmrf_blocks(np.zeros(3), q, count, 1)]
+    assert sizes(1) == [1]
+    assert sizes(_BLOCK + 1) == [_BLOCK + 1]
+    assert sizes(2 * _BLOCK + 1) == [_BLOCK, _BLOCK + 1]
+    assert sizes(2 * _BLOCK + 2) == [_BLOCK, _BLOCK, 2]
+
+
+def test_a_multithreaded_blas_solves_in_one_block(monkeypatch):
+    # each block's solve would wait for every BLAS thread
+    q = PrecisionMatrix(np.eye(3))
+    sizes = lambda count: [b.shape[0] for _, b in gmrf.gmrf_blocks(np.zeros(3), q, count, 1)]
+    for var in parallel._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert parallel.blas_threads() == 1
+    assert sizes(3 * _BLOCK) == [_BLOCK] * 3
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert parallel.blas_threads() == 2
+    assert sizes(3 * _BLOCK) == [3 * _BLOCK]
+    assert sizes(0) == []
 
 
 def test_apply_constraints_sum_to_zero():

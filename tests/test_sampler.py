@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from sgcinla import parallel, rng, sampler, sgc
 from sgcinla.engine import fit_model
@@ -26,6 +27,7 @@ from sgcinla.sampler import (
     summarize,
 )
 from sgcinla.sgc import CorrectionKind
+from sgcinla.skewnormal import default_table, standardized_map_direct
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +322,9 @@ def test_summarize_leaves_no_reference_cycle():
 
 
 def _force_workers(monkeypatch, count):
+    """Run ``sample_joint`` on ``count`` workers, small calls included."""
     monkeypatch.setattr(parallel, "worker_count", lambda tasks: max(1, min(tasks, count)))
+    monkeypatch.setattr(sampler, "_POOL_MIN_ELEMENTS", 0)
 
 
 def _shared_buffer(draws: np.ndarray):
@@ -349,6 +353,78 @@ def test_pool_draws_and_summaries_equal_serial(fit_name, request, monkeypatch):
         assert np.array_equal(pooled, serial), (kind, use_table)
         for name in _SUMMARY_FIELDS:
             assert np.array_equal(getattr(s2, name), getattr(s1, name), equal_nan=True), name
+
+
+def _ppoly_map(table, idx, z):
+    """Table row ``idx`` evaluated by scipy's PPoly, with the linear tails."""
+    x, v = table.z_nodes, table.values[idx]
+    cubic = PchipInterpolator(x, v)
+    out = PPoly.construct_fast(cubic.c, x)(np.clip(z, x[0], x[-1]))
+    slope_lo, slope_hi = cubic.derivative()(x[[0, -1]])
+    out[z < x[0]] = v[0] + slope_lo * (z[z < x[0]] - x[0])
+    out[z > x[-1]] = v[-1] + slope_hi * (z[z > x[-1]] - x[-1])
+    return out
+
+
+def _one_shot_joint(fit, count, seed, kind, use_table):
+    """``sample_joint`` as one unblocked Gaussian draw per configuration,
+    corrected one column at a time."""
+    table = default_table()
+    config = _assign_configs(fit.weights, count, seed)
+    out = np.empty((count, fit.mutilde.shape[1]))
+    for k in np.unique(config):
+        fc = fit.sgc(k)
+        rows = config == k
+        z = rng.stream(seed, rng.SALT_MIXTURE_BASE + k).standard_normal((rows.sum(), fc.dim))
+        x = fc.mu + fc.precision.factor().half_solve_t(z.T).T
+        y = x.copy() if kind == "none" else x + (fc.mutilde - fc.mu)
+        for j in range(fc.dim if kind == "skew" else 0):
+            idx = int(table.index_of(fc.gamma[j]))
+            if (use_table and idx == table.index_of(0.0)) or fc.gamma[j] == 0.0:
+                continue
+            zj = (x[:, j] - fc.mu[j]) / fc.sigma[j]
+            if use_table:
+                g = _ppoly_map(table, idx, zj)
+            else:
+                g = standardized_map_direct(float(fc.gamma[j]), zj)
+            y[:, j] = fc.mutilde[j] + fc.sigma[j] * g
+        out[rows] = y
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "kind, use_table, count",
+    [("skew", True, 4000), ("skew", False, 1500), ("mean", True, 4000), ("none", True, 4000)],
+    ids=["skew-table", "skew-exact", "mean", "none"],
+)
+@pytest.mark.parametrize("threads", [1, 2], ids=["blocks", "one-solve"])
+def test_blocked_draws_equal_one_shot_draws(
+    poisson_61_fit, monkeypatch, workers, kind, use_table, count, threads
+):
+    _force_workers(monkeypatch, workers)
+    # Gaussian blocks sized for this many BLAS threads (one solve for two,
+    # mapped in row blocks), whatever the BLAS runs here
+    monkeypatch.setattr(parallel, "blas_threads", lambda: threads)
+    js = sample_joint(poisson_61_fit, count, seed=23, kind=kind, use_table=use_table)
+    assert np.array_equal(js.draws, _one_shot_joint(poisson_61_fit, count, 23, kind, use_table))
+
+
+def test_small_calls_stay_in_process(poisson_fit, monkeypatch):
+    dim = poisson_fit.mutilde.shape[1]
+    pooled = []
+    monkeypatch.setattr(parallel, "worker_count", lambda tasks: max(1, min(tasks, 2)))
+    monkeypatch.setattr(parallel, "map_tasks", lambda fn, tasks: pooled.append([*map(fn, tasks)]))
+    monkeypatch.setattr(sampler, "_POOL_MIN_ELEMENTS", 300 * dim)
+    sample_joint(poisson_fit, 299, seed=3)
+    assert pooled == []
+    sample_joint(poisson_fit, 300, seed=3)
+    assert len(pooled) == 1
+    # the exact map is costly enough to pay for the pool at any size
+    sample_joint(poisson_fit, 20, seed=3, use_table=False)
+    assert len(pooled) == 2
+    # the benchmark's draw sizes, N=61 and N=241, stay on the pool
+    assert min(100_000 * 61, 20_000 * 241) >= sampler._POOL_MIN_ELEMENTS
 
 
 def test_pooled_sampling_leaves_no_reference_cycle(poisson_fit, monkeypatch):
@@ -390,14 +466,14 @@ def test_only_configurations_with_rows_become_tasks(poisson_fit, monkeypatch):
                         minlength=poisson_fit.n_config)
     assert np.any(sizes == 0) and np.count_nonzero(sizes) > 1
     calls = []
-    real = sampler.sample_full_conditional
+    real = sampler.full_conditional_blocks
 
     def record(fc, n, seed, kind, **kwargs):
         calls.append((kwargs["salt"] - rng.SALT_MIXTURE_BASE, n))
         return real(fc, n, seed, kind, **kwargs)
 
     _force_workers(monkeypatch, 1)
-    monkeypatch.setattr(sampler, "sample_full_conditional", record)
+    monkeypatch.setattr(sampler, "full_conditional_blocks", record)
     sample_joint(poisson_fit, count, seed)
     assert sorted(k for k, _ in calls) == np.flatnonzero(sizes).tolist()
     assert all(n == sizes[k] for k, n in calls)
@@ -429,8 +505,8 @@ def test_children_use_the_table_built_by_the_parent(poisson_fit, monkeypatch):
 def test_child_exception_keeps_its_type(poisson_fit, monkeypatch):
     _force_workers(monkeypatch, 2)
     draw_error = IndexOutOfRange("draw in a child")
-    monkeypatch.setattr(sampler, "sample_full_conditional",
-                        _failing_in_children(sampler.sample_full_conditional, draw_error))
+    monkeypatch.setattr(sampler, "full_conditional_blocks",
+                        _failing_in_children(sampler.full_conditional_blocks, draw_error))
     with pytest.raises(IndexOutOfRange, match="draw in a child"):
         sample_joint(poisson_fit, 3000, seed=21)
     assert multiprocessing.active_children() == []

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.special import ndtr
 from scipy.stats import skewnorm
 
@@ -22,7 +24,9 @@ from sgcinla import (
     sn_quantile,
     standardized_map_direct,
 )
+from sgcinla import skewnormal
 from sgcinla.skewnormal import (
+    _BRACKET_LEVEL,
     GAMMA_ATTAINABLE,
     QuantileTable,
     SkewNormalParams,
@@ -417,3 +421,146 @@ def test_map_agrees_with_phi_inverse_definition():
     z = np.array([-2.0, -0.3, 0.0, 1.4, 3.1])
     ref = sn_quantile(standardized_params(g), ndtr(z))
     assert np.max(np.abs(standardized_map_direct(g, z) - ref)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the O(1) table kernel against scipy's PPoly, its former evaluation
+# ---------------------------------------------------------------------------
+
+
+def _ppoly_row(table, idx, z):
+    """Row ``idx`` of ``table`` as a one-row PCHIP evaluated by scipy's
+    ``PPoly`` on the clipped points, continued linearly beyond the nodes."""
+    z = np.asarray(z, dtype=float)
+    x = table.z_nodes
+    cubic = PchipInterpolator(x, table.values[idx])
+    out = PPoly.construct_fast(cubic.c, x)(np.clip(z, x[0], x[-1]))
+    slope_lo, slope_hi = cubic.derivative()(x[[0, -1]])
+    low, high = z < x[0], z > x[-1]
+    out[low] = table.values[idx, 0] + slope_lo * (z[low] - x[0])
+    out[high] = table.values[idx, -1] + slope_hi * (z[high] - x[-1])
+    return out
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _adversarial_points(table):
+    """Nodes, bucket edges and their float neighbours, the outer nodes and
+    beyond, signed zeros and a normal sample."""
+    x = table.z_nodes
+    edges = x[0] + np.arange(table._bucket_cell.size + 1) / table._per_width
+    spots = np.concatenate([x, edges])
+    return np.concatenate([
+        spots,
+        np.nextafter(spots, -np.inf),
+        np.nextafter(spots, np.inf),
+        [-9.0, -6.0, 6.0, 9.0, 0.0, -0.0],
+        4.0 * np.random.default_rng(1).standard_normal(3000),
+    ])
+
+
+_KERNEL_TABLES = {
+    "coarse-step": dict(gamma_step=0.05, gamma_max=0.95),
+    "extra-tail-node": dict(z_max=8.0),
+    "101-nodes": dict(n_nodes=101),
+    "identity-only": dict(gamma_max=0.0),
+}
+
+
+@pytest.fixture(scope="module", params=["default", *_KERNEL_TABLES])
+def any_table(request, table):
+    if request.param == "default":
+        return table
+    return QuantileTable.build(**_KERNEL_TABLES[request.param])
+
+
+def test_kernel_rows_equal_ppoly_bit_for_bit(any_table):
+    z = _adversarial_points(any_table)
+    for idx in range(any_table.values.shape[0]):
+        expected = z if idx == any_table._half else _ppoly_row(any_table, idx, z)
+        assert _same_bits(any_table.map_row(idx, z), expected), idx
+
+
+def test_kernel_per_element_rows_equal_ppoly(any_table):
+    z = _adversarial_points(any_table)
+    rows = np.random.default_rng(2).integers(0, any_table.values.shape[0], z.size)
+    rows[::7] = any_table._half
+    got = any_table.map_rows(rows, z)
+    for idx in np.unique(rows):
+        at = rows == idx
+        expected = z[at] if idx == any_table._half else _ppoly_row(any_table, idx, z[at])
+        assert _same_bits(got[at], expected), idx
+    # a row per column, broadcast down a stack of states, as the sampler uses it
+    last = any_table.values.shape[0] - 1
+    cols = np.array([0, any_table._half, last, 3 % (last + 1)])
+    stack = z[: 4 * (z.size // 4)].reshape(-1, 4)
+    got = any_table.map_rows(cols, stack)
+    for j, idx in enumerate(cols):
+        col = stack[:, j]
+        expected = col if idx == any_table._half else _ppoly_row(any_table, idx, col)
+        assert _same_bits(got[:, j], expected), j
+
+
+def test_kernel_starts_its_sum_from_positive_zero():
+    # a node value of -0.0 met at z = -0.0: PPoly's sum starts from 0.0, so
+    # its value is +0.0 where a sum starting at the constant term gives -0.0
+    nodes = np.array([-1.0, 0.0, 1.0, 2.0])
+    values = np.array([[-2.0, -0.0, 0.1, 5.1], [-1.0, 0.0, 1.0, 2.0], [-1.5, 0.5, 2.0, 3.0]])
+    custom = QuantileTable(0.01, nodes, values)
+    z = np.array([-0.0, 0.0, -1e-300, 1e-300])
+    assert _same_bits(custom.map_row(0, z), _ppoly_row(custom, 0, z))
+    assert not np.signbit(custom.map_row(0, z)[0])
+
+
+def test_kernel_slices_long_inputs_alike(table, monkeypatch):
+    z = 3.0 * np.random.default_rng(4).standard_normal((300, 7))
+    rows = np.arange(7) * 25
+    whole = table.map_rows(rows, z)
+    monkeypatch.setattr(skewnormal, "_SLICE_ELEMENTS", 50)
+    assert _same_bits(table.map_rows(rows, z), whole)
+    flat_rows = np.broadcast_to(rows, z.shape).ravel()
+    assert _same_bits(table.map_rows(flat_rows, z.ravel()), whole.ravel())
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.37, -0.99])
+def test_fast_map_keeps_nan_and_infinities(table, gamma):
+    z = np.array([np.nan, np.inf, -np.inf, 0.5, -1e300, 1e300])
+    for g in (gamma, np.full(z.shape, gamma), np.array([gamma, 0.2, -0.5, gamma, 0.0, 0.9])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fast_map(table, z, g)
+        assert np.isnan(got[0]) and got[1] == np.inf and got[2] == -np.inf
+        assert np.all(np.isfinite(got[3:]))
+
+
+# ---------------------------------------------------------------------------
+# bracket checks in sn_quantile
+# ---------------------------------------------------------------------------
+
+
+def test_skipped_bracket_checks_cannot_fire(table):
+    # the comparisons sn_quantile skips, at both ends of the skipped level
+    # range, for every skewness of the table grid
+    params = [standardized_params(float(g)) for g in table.gammas]
+    xi = np.array([p.xi for p in params])
+    omega = np.array([p.omega for p in params])
+    alpha = np.array([p.alpha for p in params])
+    grid = SkewNormalParams(xi, omega, alpha)
+    assert not np.any(sn_cdf(grid, xi - 9.0 * omega) > _BRACKET_LEVEL)
+    assert not np.any(sn_cdf(grid, xi + 9.0 * omega) < 1.0 - _BRACKET_LEVEL)
+
+
+def test_sn_quantile_equals_checking_every_bracket(monkeypatch):
+    levels = np.array([
+        1e-300, 1e-20, _BRACKET_LEVEL, np.nextafter(_BRACKET_LEVEL, 0.0), 1e-9, 0.3,
+        0.5, 0.97, 1.0 - _BRACKET_LEVEL, 1.0 - 1e-16,
+    ])
+    cases = [standardized_params(g) for g in (-0.99, -0.4, 0.7, 0.99)]
+    cases.append(SkewNormalParams(2.5, 0.01, -6.0))
+    skipping = [sn_quantile(p, levels) for p in cases]
+    monkeypatch.setattr(skewnormal, "_BRACKET_Z", np.inf)
+    for p, got in zip(cases, skipping):
+        assert np.array_equal(got, sn_quantile(p, levels))
