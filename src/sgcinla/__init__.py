@@ -47,7 +47,6 @@ from .skewnormal import (  # noqa: F401
     sn_cdf,
     sn_params_from_moments,
     sn_pdf,
-    sn_pdf_rows,
     sn_quantile,
     standardized_map_direct,
 )

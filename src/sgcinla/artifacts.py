@@ -29,10 +29,16 @@ Relative paths resolve against the directory containing the config file.
 Fit artifact format
 -------------------
 
-A fit file is the 8-byte magic ``SGCFIT01`` followed by a pickled payload of
+A fit file is the 8-byte magic ``SGCFIT02`` followed by a pickled payload of
 plain dictionaries and numpy arrays (protocol 4, so files are byte-identical
-across reruns with the same config).  ``load_fit`` rebuilds the full
-:class:`~sgcinla.engine.FitResult`, including the model specification.
+across reruns with the same config).  Each fact is stored once: the model
+specification, the grid, and per configuration the mode, the likelihood
+curvature and the Newton counts.  ``load_fit`` rebuilds the full
+:class:`~sgcinla.engine.FitResult`; each configuration's prior precision is
+``assemble_precision(spec, theta)`` at its grid point and its posterior
+precision that plus ``diag(curvature)``, bit for bit as the fit built them.
+``SGCFIT01`` files, which also stored both matrices and a copy of theta per
+configuration, load through the same code, which ignores those keys.
 
 Joint moment summaries (mean vector, covariance, skewness) serialize to JSON
 with full ``repr`` precision, so a summary written and re-read reproduces
@@ -51,11 +57,13 @@ import numpy as np
 
 from .engine import FitResult, GaussianApprox, GridPoint
 from .errors import InvalidSpec
-from .gmrf import LinearConstraint, PrecisionMatrix
+from .gmrf import LinearConstraint
 from .lincomb import JointMomentSummary
-from .model import ModelSpec, make_family
+from .model import ModelSpec, assemble_precision, make_family
 
-FIT_MAGIC = b"SGCFIT01"
+FIT_MAGIC = b"SGCFIT02"
+# Older layouts that load_fit still reads (their extra keys are ignored).
+_OLD_FIT_MAGICS = (b"SGCFIT01",)
 _PICKLE_PROTOCOL = 4
 
 #: Column order of the posterior summary table.
@@ -224,11 +232,8 @@ def save_fit(path, fit: FitResult) -> None:
         ],
         "approximations": [
             {
-                "theta": ga.theta,
                 "mean": ga.mean,
-                "precision": ga.precision.matrix.copy(),
                 "curvature": ga.curvature,
-                "prior_precision": ga.prior_precision.matrix.copy(),
                 "converged": ga.converged,
                 "iterations": ga.iterations,
             }
@@ -248,30 +253,34 @@ def load_fit(path) -> FitResult:
     """Read a fit artifact written by :func:`save_fit`.
 
     Raises FileNotFoundError when the file is absent and InvalidSpec when
-    it does not carry the expected format marker.
+    it does not carry a known format marker.
     """
     blob = Path(path).read_bytes()
-    if blob[: len(FIT_MAGIC)] != FIT_MAGIC:
+    if blob[: len(FIT_MAGIC)] not in (FIT_MAGIC, *_OLD_FIT_MAGICS):
         raise InvalidSpec(f"{path} is not a fit artifact (bad magic bytes)")
     payload = pickle.loads(blob[len(FIT_MAGIC) :])
+    spec = _spec_from_payload(payload["spec"])
     grid = [
         GridPoint(theta=g["theta"], log_posterior=g["log_posterior"], weight=g["weight"])
         for g in payload["grid"]
     ]
-    approximations = [
-        GaussianApprox(
-            theta=a["theta"],
-            mean=a["mean"],
-            precision=PrecisionMatrix(a["precision"]),
-            curvature=a["curvature"],
-            prior_precision=PrecisionMatrix(a["prior_precision"]),
-            converged=a["converged"],
-            iterations=a["iterations"],
+    approximations = []
+    for pt, a in zip(grid, payload["approximations"]):
+        theta = np.atleast_1d(np.asarray(pt.theta, dtype=float))
+        prior = assemble_precision(spec, theta)
+        approximations.append(
+            GaussianApprox(
+                theta=theta,
+                mean=a["mean"],
+                precision=prior.plus_diagonal(a["curvature"]),
+                curvature=a["curvature"],
+                prior_precision=prior,
+                converged=a["converged"],
+                iterations=a["iterations"],
+            )
         )
-        for a in payload["approximations"]
-    ]
     return FitResult(
-        spec=_spec_from_payload(payload["spec"]),
+        spec=spec,
         grid=grid,
         approximations=approximations,
         mutilde=payload["mutilde"],

@@ -59,7 +59,6 @@ from .skewnormal import (
     default_table,
     fast_map,
     sn_cdf,
-    sn_params_from_moments,
     sn_pdf,
     standardized_map_direct,
     standardized_params,
@@ -215,7 +214,7 @@ def cmd_lincomb(args) -> int:
                 lo = max(curve.xs[0], projected[:, i].min())
                 hi = min(curve.xs[-1], projected[:, i].max())
                 xs = np.linspace(lo, hi, 401)
-                value = kld_1d(xs, _sn_density(joint, i, xs), kernel_density(projected[:, i], xs))
+                value = kld_1d(xs, sn_pdf(curve.params, xs), kernel_density(projected[:, i], xs))
                 handle.write(f"{curve.name},{float(value)!r}\n")
         print(
             f"lincomb: sampling path with {args.count} draws {sample_seconds * 1e3:.1f} ms, "
@@ -223,11 +222,6 @@ def cmd_lincomb(args) -> int:
         )
     _manifest(args, "lincomb", count=args.count or 0).write(out)
     return EXIT_OK
-
-
-def _sn_density(joint, i: int, xs: np.ndarray) -> np.ndarray:
-    params = sn_params_from_moments(joint.mean[i], joint.cov[i, i], joint.skewness[i])
-    return sn_pdf(params, xs)
 
 
 # -- compare-mcmc --------------------------------------------------------

@@ -9,6 +9,11 @@ cubed-weights skewness combination.  Mixing over the hyperparameter grid
 uses the law of total (co)variance and the matching non-central formula for
 third moments.  Each output margin is then summarized as the moment-matched
 skew-normal.
+
+``subset_moments`` (selection rows of the identity), ``transform_moments``
+(a stored summary as one configuration) and ``linear_combination_summary``
+only form per-configuration moments; ``_joint_summary`` alone mixes them,
+checks the variances, clamps the skewness and names the outputs.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import FitResult
-from .errors import DimensionMismatch, SupportMismatch
-from .skewnormal import GAMMA_CLAMP, SkewNormalParams, sn_params_from_moments, sn_pdf_rows
+from .errors import DimensionMismatch, InvalidSpec, SkewnessOutOfRange, SupportMismatch
+from .skewnormal import GAMMA_CLAMP, SkewNormalParams, sn_params_from_moments, sn_pdf
 
 logger = logging.getLogger(__name__)
 
@@ -43,14 +48,6 @@ class JointMomentSummary:
         return np.sqrt(np.diag(self.cov))
 
 
-def _clamp_skewness(skew: np.ndarray) -> tuple[np.ndarray, int]:
-    clipped = np.clip(skew, -GAMMA_CLAMP, GAMMA_CLAMP)
-    count = int(np.count_nonzero(clipped != skew))
-    if count:
-        logger.warning("%d marginal skewness values clamped to +-%.2f", count, GAMMA_CLAMP)
-    return clipped, count
-
-
 def _mix_moments(weights, means, covs, thirds):
     """Moments of a mixture from per-configuration moments.
 
@@ -68,29 +65,42 @@ def _mix_moments(weights, means, covs, thirds):
     return mean, cov, third
 
 
+def _joint_summary(weights, means, covs, thirds, names) -> JointMomentSummary:
+    """The one constructor of a summary from per-configuration moments.
+
+    Mixes the moments over the configurations, names the p outputs
+    (``lincomb_1``, ... when ``names`` is empty) and clamps each skewness to
+    +-GAMMA_CLAMP.  A zero or negative variance raises DimensionMismatch; a
+    non-finite mean or variance raises InvalidSpec and a non-finite skewness
+    SkewnessOutOfRange, as the sampler does for the same fit.
+    """
+    p = np.shape(means)[1]
+    out_names = tuple(names) if names else tuple(f"lincomb_{h + 1}" for h in range(p))
+    if len(out_names) != p:
+        raise DimensionMismatch("one name per combination row is required")
+    mean, cov, third = _mix_moments(weights, means, covs, thirds)
+    var = np.diag(cov)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
+        raise InvalidSpec("combination means and variances must be finite")
+    if not np.all(var > 0):
+        raise DimensionMismatch("a row of the combination matrix has zero variance")
+    skew = third / var**1.5
+    if not np.all(np.isfinite(skew)):
+        raise SkewnessOutOfRange("combination skewness must be finite")
+    clamped = np.clip(skew, -GAMMA_CLAMP, GAMMA_CLAMP)
+    count = int(np.count_nonzero(clamped != skew))
+    if count:
+        logger.warning("%d marginal skewness values clamped to +-%.2f", count, GAMMA_CLAMP)
+    return JointMomentSummary(names=out_names, mean=mean, cov=cov, skewness=clamped, clamped=count)
+
+
 def subset_moments(fit: FitResult, indices) -> JointMomentSummary:
     """Joint moment summary of a subset of latent components."""
     idx = np.atleast_1d(np.asarray(indices, dtype=int))
     n = fit.mutilde.shape[1]
     if np.any(idx < 0) or np.any(idx >= n):
         raise DimensionMismatch(f"component indices must lie in [0, {n})")
-    k_count = fit.n_config
-    p = idx.size
-    means = fit.mutilde[:, idx]
-    covs = np.empty((k_count, p, p))
-    for k in range(k_count):
-        covs[k] = fit.approximations[k].covariance()[np.ix_(idx, idx)]
-    thirds = fit.gamma[:, idx] * fit.sigma[:, idx] ** 3
-    mean, cov, third = _mix_moments(fit.weights, means, covs, thirds)
-    var = np.diag(cov)
-    skew, clamped = _clamp_skewness(third / var**1.5)
-    return JointMomentSummary(
-        names=tuple(fit.names[i] for i in idx),
-        mean=mean,
-        cov=cov,
-        skewness=skew,
-        clamped=clamped,
-    )
+    return linear_combination_summary(fit, np.eye(n)[idx], [fit.names[i] for i in idx])
 
 
 def transform_moments(summary: JointMomentSummary, a, names=None) -> JointMomentSummary:
@@ -99,25 +109,18 @@ def transform_moments(summary: JointMomentSummary, a, names=None) -> JointMoment
     The mean and covariance transform exactly; marginal third moments
     combine through the cubed coefficients, third_h = sum_i A_hi^3 g_i s_i^3,
     which drops cross third moments and is exact for independent or
-    single-coordinate combinations.
+    single-coordinate combinations.  This is the one-configuration case of
+    :func:`linear_combination_summary`.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[1] != summary.dim:
         raise DimensionMismatch(
             f"matrix has {a.shape[1]} columns, summary has {summary.dim} coordinates"
         )
-    mean = a @ summary.mean
-    cov = a @ summary.cov @ a.T
     third_in = summary.skewness * summary.sd() ** 3
-    third = a**3 @ third_in
-    var = np.diag(cov)
-    if np.any(var <= 0):
-        raise DimensionMismatch("a row of the combination matrix has zero variance")
-    skew, clamped = _clamp_skewness(third / var**1.5)
-    out_names = tuple(names) if names else tuple(f"lincomb_{h + 1}" for h in range(a.shape[0]))
-    if len(out_names) != a.shape[0]:
-        raise DimensionMismatch("one name per combination row is required")
-    return JointMomentSummary(mean=mean, cov=cov, skewness=skew, names=out_names, clamped=clamped)
+    return _joint_summary(
+        [1.0], [a @ summary.mean], [a @ summary.cov @ a.T], [a**3 @ third_in], names
+    )
 
 
 def linear_combination_summary(fit: FitResult, a, names=None) -> JointMomentSummary:
@@ -132,17 +135,13 @@ def linear_combination_summary(fit: FitResult, a, names=None) -> JointMomentSumm
     n = fit.mutilde.shape[1]
     if a.shape[1] != n:
         raise DimensionMismatch(f"matrix has {a.shape[1]} columns, field has {n}")
-    h = a.shape[0]
-    means = fit.mutilde @ a.T
-    thirds = (fit.gamma * fit.sigma**3) @ (a**3).T
-    covs = a @ (fit.covariance_stack() @ a.T)
-    mean, cov, third = _mix_moments(fit.weights, means, covs, thirds)
-    var = np.diag(cov)
-    skew, clamped = _clamp_skewness(third / var**1.5)
-    out_names = tuple(names) if names else tuple(f"lincomb_{i + 1}" for i in range(h))
-    if len(out_names) != h:
-        raise DimensionMismatch("one name per combination row is required")
-    return JointMomentSummary(mean=mean, cov=cov, skewness=skew, names=out_names, clamped=clamped)
+    return _joint_summary(
+        fit.weights,
+        fit.mutilde @ a.T,
+        a @ (fit.covariance_stack() @ a.T),
+        (fit.gamma * fit.sigma**3) @ (a**3).T,
+        names,
+    )
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,8 @@ def marginals_1d(summary: JointMomentSummary, points: int = 401, span: float = 6
     grids = np.ascontiguousarray(
         np.linspace(summary.mean - span * sds, summary.mean + span * sds, points).T
     )
-    densities = sn_pdf_rows(pars.xi, pars.omega, pars.alpha, grids)
+    columns = SkewNormalParams(pars.xi[:, None], pars.omega[:, None], pars.alpha[:, None])
+    densities = sn_pdf(columns, grids)
     curves = []
     for i in range(summary.dim):
         params = SkewNormalParams(float(pars.xi[i]), float(pars.omega[i]), float(pars.alpha[i]))

@@ -100,7 +100,10 @@ def sn_moments_from_params(params: SkewNormalParams):
 
 
 def sn_pdf(params: SkewNormalParams, x):
-    """Skew-normal density, vectorized in x."""
+    """Skew-normal density; array parameters broadcast against x.
+
+    Column-vector parameters against a (p, points) x give one row per triple.
+    """
     z = (np.asarray(x, dtype=float) - params.xi) / params.omega
     return (
         2.0
@@ -108,19 +111,6 @@ def sn_pdf(params: SkewNormalParams, x):
         * np.exp(-0.5 * z**2 - _HALF_LOG_2PI)
         * ndtr(params.alpha * z)
     )
-
-
-def sn_pdf_rows(xi, omega, alpha, xs) -> np.ndarray:
-    """Row-wise skew-normal densities: parameter vectors against (p, points) grids.
-
-    Row i equals ``sn_pdf(SkewNormalParams(xi[i], omega[i], alpha[i]), xs[i])``;
-    evaluating all rows in one broadcast pass avoids p separate dispatches.
-    """
-    xi = np.asarray(xi, dtype=float)[:, None]
-    omega = np.asarray(omega, dtype=float)[:, None]
-    alpha = np.asarray(alpha, dtype=float)[:, None]
-    z = (np.asarray(xs, dtype=float) - xi) / omega
-    return 2.0 / omega * np.exp(-0.5 * z**2 - _HALF_LOG_2PI) * ndtr(alpha * z)
 
 
 def sn_cdf(params: SkewNormalParams, x):

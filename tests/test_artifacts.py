@@ -2,12 +2,14 @@
 
 import csv
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from sgcinla import rng
 from sgcinla.artifacts import (
+    FIT_MAGIC,
     RunManifest,
     SUMMARY_COLUMNS,
     load_config,
@@ -139,6 +141,47 @@ def test_fit_round_trip_and_determinism(tmp_path):
     again = tmp_path / "fit2.bin"
     save_fit(again, fit_model(spec_from_config(gaussian_config())))
     assert path.read_bytes() == again.read_bytes()
+
+
+def _assert_same_fit(loaded, fit):
+    assert loaded.names == fit.names
+    assert np.array_equal(loaded.weights, fit.weights)
+    for got, want in zip(loaded.approximations, fit.approximations):
+        assert np.array_equal(got.theta, want.theta)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.curvature, want.curvature)
+        assert np.array_equal(got.precision.matrix, want.precision.matrix)
+        assert np.array_equal(got.prior_precision.matrix, want.prior_precision.matrix)
+        assert (got.converged, got.iterations) == (want.converged, want.iterations)
+    assert np.array_equal(
+        sample_joint(loaded, 300, seed=4).draws, sample_joint(fit, 300, seed=4).draws
+    )
+
+
+def test_fit_file_stores_each_fact_once(tmp_path):
+    fit = fit_model(spec_from_config(poisson_config()))
+    path = tmp_path / "fit.bin"
+    save_fit(path, fit)
+    blob = path.read_bytes()
+    assert blob[:8] == FIT_MAGIC == b"SGCFIT02"
+    payload = pickle.loads(blob[8:])
+    assert set(payload["approximations"][0]) == {"mean", "curvature", "converged", "iterations"}
+    _assert_same_fit(load_fit(path), fit)
+
+
+def test_fit_file_in_the_first_layout_still_loads(tmp_path):
+    fit = fit_model(spec_from_config(poisson_config()))
+    path = tmp_path / "fit.bin"
+    save_fit(path, fit)
+    payload = pickle.loads(path.read_bytes()[8:])
+    # the first layout also stored theta and both precision matrices per configuration
+    for entry, ga in zip(payload["approximations"], fit.approximations):
+        entry["theta"] = ga.theta
+        entry["precision"] = ga.precision.matrix.copy()
+        entry["prior_precision"] = ga.prior_precision.matrix.copy()
+    old = tmp_path / "old.bin"
+    old.write_bytes(b"SGCFIT01" + pickle.dumps(payload, protocol=4))
+    _assert_same_fit(load_fit(old), fit)
 
 
 def test_loaded_fit_with_nan_skewness_does_not_draw(tmp_path):

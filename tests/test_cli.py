@@ -242,6 +242,17 @@ def test_lincomb_error_codes(poisson_run, tmp_path):
     )
 
 
+def test_lincomb_zero_row_exits_with_dimension_code(poisson_run, tmp_path, caplog):
+    _, out = poisson_run
+    weights = tmp_path / "zero.csv"
+    rows = np.zeros((2, 37))
+    rows[0, 31] = 1.0  # the second row weighs nothing
+    np.savetxt(weights, rows, delimiter=",")
+    with caplog.at_level(logging.WARNING, logger="sgcinla"):
+        assert main(["lincomb", "--out", str(out), "--a-matrix", str(weights)]) == 5
+    assert "clamped" not in caplog.text
+
+
 def test_compare_mcmc_gaussian_model_agrees(gaussian_run, tmp_path):
     config, _ = gaussian_run
     out = tmp_path / "cmp"

@@ -1,15 +1,20 @@
 """Deterministic joint summaries and linear combinations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sgcinla import rng
 from sgcinla.engine import FitResult, GaussianApprox, GridPoint, fit_model
-from sgcinla.errors import DimensionMismatch, SupportMismatch
+from sgcinla.errors import DimensionMismatch, InvalidSpec, SkewnessOutOfRange, SupportMismatch
 from sgcinla.gmrf import PrecisionMatrix
 from sgcinla.lincomb import (
     JointMomentSummary,
+    _mix_moments,
     kld_1d,
     linear_combination_summary,
     marginals_1d,
@@ -190,3 +195,104 @@ def test_kld_support_validation():
         kld_1d(xs, p, q)
     with pytest.raises(SupportMismatch):
         kld_1d(xs, -p, p)
+
+
+def one_point_fit():
+    """One configuration of a correlated three-component field with skewed margins."""
+    q = np.array([[2.0, -0.6, 0.2], [-0.6, 1.5, -0.4], [0.2, -0.4, 1.0]])
+    sigma = np.sqrt(np.diag(np.linalg.inv(q)))
+    approx = GaussianApprox(
+        theta=np.zeros(1),
+        mean=np.array([0.1, -0.3, 0.7]),
+        precision=PrecisionMatrix(q),
+        curvature=np.zeros(3),
+        prior_precision=PrecisionMatrix(q),
+        converged=True,
+        iterations=1,
+    )
+    return FitResult(
+        spec=None,
+        grid=[GridPoint(theta=np.zeros(1), log_posterior=0.0, weight=1.0)],
+        approximations=[approx],
+        mutilde=np.array([[0.2, -0.25, 0.6]]),
+        sigma=sigma[None, :],
+        gamma=np.array([[0.4, -0.7, 0.15]]),
+        names=["x_1", "x_2", "x_3"],
+    )
+
+
+def test_transform_of_the_whole_subset_is_the_combination():
+    fit = one_point_fit()
+    a = np.array([[1.0, 1.0, 0.0], [0.5, -1.0, 2.0], [0.0, 0.0, -3.0]])
+    step = transform_moments(subset_moments(fit, [0, 1, 2]), a)
+    direct = linear_combination_summary(fit, a)
+    np.testing.assert_allclose(step.mean, direct.mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(step.cov, direct.cov, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(step.skewness, direct.skewness, rtol=0, atol=1e-12)
+    assert step.names == direct.names == ("lincomb_1", "lincomb_2", "lincomb_3")
+
+
+def test_zero_row_raises_from_every_entry_point(poisson_fit):
+    n = poisson_fit.mutilde.shape[1]
+    a = np.zeros((2, n))
+    a[0, 30] = 1.0
+    with pytest.raises(DimensionMismatch):
+        linear_combination_summary(poisson_fit, a)
+    with pytest.raises(DimensionMismatch):
+        transform_moments(worked_summary(), np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
+def test_non_finite_fit_raises_as_the_sampler_does(poisson_fit):
+    idx = [1, 2, 30]  # selects both poisoned columns
+    a = np.eye(poisson_fit.mutilde.shape[1])[idx]
+    nan_gamma = dataclasses.replace(poisson_fit, gamma=poisson_fit.gamma.copy())
+    nan_gamma.gamma[0, 1] = np.nan
+    nan_mean = dataclasses.replace(poisson_fit, mutilde=poisson_fit.mutilde.copy())
+    nan_mean.mutilde[0, 2] = np.nan
+    for fit, error in ((nan_gamma, SkewnessOutOfRange), (nan_mean, InvalidSpec)):
+        with pytest.raises(error):
+            subset_moments(fit, idx)
+        with pytest.raises(error):
+            linear_combination_summary(fit, a)
+        with pytest.raises(error):
+            sample_joint(fit, 200, seed=3)
+
+
+def test_non_finite_summary_raises_in_transform():
+    bad_skew = dataclasses.replace(worked_summary(), skewness=np.array([np.nan, 0.6]))
+    with pytest.raises(SkewnessOutOfRange):
+        transform_moments(bad_skew, np.eye(2))
+    bad_mean = dataclasses.replace(worked_summary(), mean=np.array([1.0, np.inf]))
+    with pytest.raises(InvalidSpec):
+        transform_moments(bad_mean, np.eye(2))
+
+
+@st.composite
+def mixtures(draw):
+    k = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    weights = gen.uniform(0.05, 1.0, size=k)
+    factors = gen.normal(size=(k, p, p))
+    covs = factors @ factors.transpose(0, 2, 1) + 0.1 * np.eye(p)
+    means = gen.normal(scale=2.0, size=(k, p))
+    thirds = gen.normal(size=(k, p)) * np.einsum("kii->ki", covs) ** 1.5
+    return weights / weights.sum(), means, covs, thirds
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixtures())
+def test_mix_moments_match_raw_moment_mixture(mix):
+    weights, means, covs, thirds = mix
+    mean, cov, third = _mix_moments(weights, means, covs, thirds)
+    # raw moments per component: E x, E x x' and E x_i^3, mixed, then centred
+    var = np.einsum("kii->ki", covs)
+    raw1 = weights @ means
+    raw2 = np.einsum("k,kij->ij", weights, covs + np.einsum("ki,kj->kij", means, means))
+    raw3 = weights @ (thirds + 3.0 * means * var + means**3)
+    np.testing.assert_allclose(mean, raw1, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(cov, raw2 - np.outer(raw1, raw1), rtol=1e-9, atol=1e-9)
+    raw_var = np.diag(raw2)
+    central3 = raw3 - 3.0 * raw1 * raw_var + 2.0 * raw1**3
+    np.testing.assert_allclose(third, central3, rtol=1e-9, atol=1e-9)

@@ -8,13 +8,20 @@ from BENCHMARK.json.  Run from the repository root::
     python3 tools/bench_pairs.py PARENT_RESULTS CHANGE_RESULTS \\
         --claim draws-61:op_s --held-out 3201,3202,3203 \\
         --change-text "what the change does" --out BENCH_11.json
+    python3 tools/bench_pairs.py PARENT_RESULTS CHANGE_RESULTS --out BENCH_12.json
 
 A pair's ``first`` names the side whose result file was written first.
 Medians and quartiles are ``numpy.percentile`` with linear interpolation.
 The claim is met when the change is better in at least nine tenths of the
 pairs, ties counting for neither side, and the medians differ by more than
-the parent's interquartile range.  Traced runs (``--trace 1``), when both
-sides have one for a workload and seed, are copied under ``traced``.
+the parent's interquartile range.  Without ``--claim`` the record says
+``"claimed": null``.  Every metric of every workload also gets the relative
+change of the medians, its BENCHMARK.json bound and a verdict: ``worse``
+when the change's median is worse than the parent's by more than the bound,
+``unresolved`` when the parent's interquartile range over its median
+exceeds the bound and not every change run beats every parent run, ``ok``
+otherwise.  Traced runs (``--trace 1``), when both sides have one for a
+workload and seed, are copied under ``traced``.
 """
 
 from __future__ import annotations
@@ -67,7 +74,24 @@ def summarize_pairs(pairs: list, end_to_end: list) -> dict:
             for side in SIDES
         }
         summary[name]["change_better"] = f"{wins} of {len(pairs)}"
+        summary[name].update(bound_verdict(values["parent"], values["change"], metric))
     return summary
+
+
+def bound_verdict(parent: np.ndarray, change: np.ndarray, metric: dict) -> dict:
+    """The relative change of the medians against the metric's bound."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    bound = metric["bound"]
+    base = float(np.median(parent))
+    relative = (float(np.median(change)) - base) / base
+    q1, q3 = np.percentile(parent, (25, 75))
+    if sign * relative > bound:
+        verdict = "worse"
+    elif (q3 - q1) / base > bound and not np.max(sign * change) < np.min(sign * parent):
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
+    return {"relative_change": relative, "bound": bound, "verdict": verdict}
 
 
 def claim_verdict(pairs: list, summary: dict, metric: dict) -> dict:
@@ -98,13 +122,14 @@ def side_ids(runs: dict, side: str) -> dict:
     return {"git_commit": commit, "source_sha256": digest}
 
 
-def build(parent_dir, change_dir, claim: str, held_out=(), change="", hardware="") -> dict:
+def build(parent_dir, change_dir, claim=None, held_out=(), change="", hardware="") -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = spec["end_to_end"]
-    claim_workload, claim_metric = claim.split(":")
     by_name = {m["name"]: m for m in end_to_end}
-    if claim_metric not in by_name:
-        raise SystemExit(f"error: {claim_metric} is not an end-to-end metric")
+    if claim:
+        claim_workload, claim_metric = claim.split(":")
+        if claim_metric not in by_name:
+            raise SystemExit(f"error: {claim_metric} is not an end-to-end metric")
     runs = dict(zip(SIDES, (load_runs(parent_dir, 0), load_runs(change_dir, 0))))
     keys = sorted(set(runs["parent"]) & set(runs["change"]))
     if not keys:
@@ -127,10 +152,11 @@ def build(parent_dir, change_dir, claim: str, held_out=(), change="", hardware="
                 entry[f"{group}_summary"] = summarize_pairs(pairs, end_to_end)
         workloads[workload] = entry
 
-    claimed = {"workload": claim_workload, "metric": claim_metric}
-    if claim_workload in workloads:
+    claimed = None
+    if claim:
+        claimed = {"workload": claim_workload, "metric": claim_metric}
+        entry = workloads.get(claim_workload, {})
         for group in ("pairs", "held_out_pairs"):
-            entry = workloads[claim_workload]
             if group in entry:
                 claimed[group] = claim_verdict(
                     entry[group], entry[f"{group}_summary"], by_name[claim_metric]
@@ -166,7 +192,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the parent's .perfbench/results directory")
     parser.add_argument("change", type=Path, help="the change's .perfbench/results directory")
-    parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC the change claims")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims, if any")
     parser.add_argument("--held-out", default="", help="comma-separated seeds kept apart")
     parser.add_argument("--change-text", dest="change_text", default="", help="what changed")
     parser.add_argument("--hardware", default="", help="the machine the runs shared")
