@@ -29,27 +29,32 @@ Relative paths resolve against the directory containing the config file.
 Fit artifact format
 -------------------
 
-A fit file is the 8-byte magic ``SGCFIT02`` followed by a pickled payload of
-plain dictionaries and numpy arrays (protocol 4, so files are byte-identical
-across reruns with the same config).  Each fact is stored once: the model
-specification, the grid, and per configuration the mode, the likelihood
-curvature and the Newton counts.  ``load_fit`` rebuilds the full
-:class:`~sgcinla.engine.FitResult`; each configuration's prior precision is
-``assemble_precision(spec, theta)`` at its grid point and its posterior
-precision that plus ``diag(curvature)``, bit for bit as the fit built them.
-``SGCFIT01`` files, which also stored both matrices and a copy of theta per
-configuration, load through the same code, which ignores those keys.
+A fit file is one JSON document: the ``save_fit`` payload plus a
+``"format"`` field naming its layout.  Arrays are stored as nested lists
+and every float in full ``repr`` precision, so ``load_fit`` rebuilds the
+fit bit for bit and save -> load -> save gives the same bytes.  Each fact
+is stored once: the model specification, the grid, and per configuration
+the mode, the likelihood curvature and the Newton counts.  Each
+configuration's prior precision is rebuilt as ``assemble_precision(spec,
+theta)`` at its grid point and its posterior precision as that plus
+``diag(curvature)``, as the fit built them.  A file that is not such a
+document, including the earlier pickled layouts, raises InvalidSpec; it is
+parsed as JSON only, never executed.
 
-Joint moment summaries (mean vector, covariance, skewness) serialize to JSON
-with full ``repr`` precision, so a summary written and re-read reproduces
-downstream skew-normal fits bitwise.
+Tables
+------
+
+:func:`write_csv` writes every CSV table: a header row, then strings and
+ints as they are and every other cell as ``repr(float(v))``, each line
+ending in LF.  Joint moment summaries (mean vector, covariance, skewness)
+serialize to JSON with the same ``repr`` precision, so a summary written
+and re-read reproduces downstream skew-normal fits bitwise.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import pickle
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -61,10 +66,8 @@ from .gmrf import LinearConstraint
 from .lincomb import JointMomentSummary
 from .model import ModelSpec, assemble_precision, make_family
 
-FIT_MAGIC = b"SGCFIT02"
-# Older layouts that load_fit still reads (their extra keys are ignored).
-_OLD_FIT_MAGICS = (b"SGCFIT01",)
-_PICKLE_PROTOCOL = 4
+#: The ``"format"`` field of a fit file in the layout this module writes.
+FIT_FORMAT = "sgcinla-fit-3"
 
 #: Column order of the posterior summary table.
 SUMMARY_COLUMNS = ("Index", "Mean", "Sd", "0.025quant", "0.5quant", "0.975quant", "Mode")
@@ -204,12 +207,13 @@ def _spec_payload(spec: ModelSpec) -> dict:
 
 
 def _spec_from_payload(payload: dict) -> ModelSpec:
+    # ModelSpec and LinearConstraint turn the lists into arrays
     fam = dict(payload["family"])
     family = make_family(fam.pop("name"), **fam)
     return ModelSpec(
         family=family,
         y=payload["y"],
-        covariates=payload["covariates"] if payload["covariates"].shape[1] else None,
+        covariates=payload["covariates"],
         covariate_names=tuple(payload["covariate_names"]),
         trials=payload["trials"],
         group=payload["group"],
@@ -223,8 +227,9 @@ def _spec_from_payload(payload: dict) -> ModelSpec:
 
 
 def save_fit(path, fit: FitResult) -> None:
-    """Write a fit artifact (versioned binary, deterministic bytes)."""
+    """Write a fit artifact (one JSON document, deterministic bytes)."""
     payload = {
+        "format": FIT_FORMAT,
         "spec": _spec_payload(fit.spec),
         "grid": [
             {"theta": pt.theta, "log_posterior": pt.log_posterior, "weight": pt.weight}
@@ -245,87 +250,78 @@ def save_fit(path, fit: FitResult) -> None:
         "names": list(fit.names),
         "warnings": list(fit.warnings),
     }
-    blob = FIT_MAGIC + pickle.dumps(payload, protocol=_PICKLE_PROTOCOL)
-    Path(path).write_bytes(blob)
+    Path(path).write_text(json.dumps(payload, default=lambda v: v.tolist()))
 
 
 def load_fit(path) -> FitResult:
     """Read a fit artifact written by :func:`save_fit`.
 
     Raises FileNotFoundError when the file is absent and InvalidSpec when
-    it does not carry a known format marker.
+    it is not a JSON document in the :data:`FIT_FORMAT` layout.
     """
     blob = Path(path).read_bytes()
-    if blob[: len(FIT_MAGIC)] not in (FIT_MAGIC, *_OLD_FIT_MAGICS):
-        raise InvalidSpec(f"{path} is not a fit artifact (bad magic bytes)")
-    payload = pickle.loads(blob[len(FIT_MAGIC) :])
-    spec = _spec_from_payload(payload["spec"])
-    grid = [
-        GridPoint(theta=g["theta"], log_posterior=g["log_posterior"], weight=g["weight"])
-        for g in payload["grid"]
-    ]
-    approximations = []
-    for pt, a in zip(grid, payload["approximations"]):
-        theta = np.atleast_1d(np.asarray(pt.theta, dtype=float))
-        prior = assemble_precision(spec, theta)
-        approximations.append(
-            GaussianApprox(
-                theta=theta,
-                mean=a["mean"],
-                precision=prior.plus_diagonal(a["curvature"]),
-                curvature=a["curvature"],
-                prior_precision=prior,
-                converged=a["converged"],
-                iterations=a["iterations"],
+    try:
+        payload = json.loads(blob)  # a UnicodeDecodeError is a ValueError too
+    except ValueError as err:
+        raise InvalidSpec(f"{path} is not a fit artifact: {err}") from None
+    if not isinstance(payload, dict) or payload.get("format") != FIT_FORMAT:
+        raise InvalidSpec(f"{path} is not a fit artifact in the {FIT_FORMAT!r} format")
+    try:
+        spec = _spec_from_payload(payload["spec"])
+        grid = [
+            GridPoint(np.asarray(g["theta"], dtype=float), g["log_posterior"], g["weight"])
+            for g in payload["grid"]
+        ]
+        approximations = []
+        for pt, a in zip(grid, payload["approximations"]):
+            prior = assemble_precision(spec, pt.theta)
+            curvature = np.asarray(a["curvature"], dtype=float)
+            approximations.append(
+                GaussianApprox(
+                    theta=pt.theta,
+                    mean=np.asarray(a["mean"], dtype=float),
+                    precision=prior.plus_diagonal(curvature),
+                    curvature=curvature,
+                    prior_precision=prior,
+                    converged=a["converged"],
+                    iterations=a["iterations"],
+                )
             )
+        return FitResult(
+            spec=spec,
+            grid=grid,
+            approximations=approximations,
+            mutilde=np.asarray(payload["mutilde"], dtype=float),
+            sigma=np.asarray(payload["sigma"], dtype=float),
+            gamma=np.asarray(payload["gamma"], dtype=float),
+            names=payload["names"],
+            warnings=payload["warnings"],
         )
-    return FitResult(
-        spec=spec,
-        grid=grid,
-        approximations=approximations,
-        mutilde=payload["mutilde"],
-        sigma=payload["sigma"],
-        gamma=payload["gamma"],
-        names=payload["names"],
-        warnings=payload["warnings"],
-    )
+    except (KeyError, TypeError, ValueError) as err:
+        raise InvalidSpec(f"fit artifact {path} is malformed: {err!r}") from None
 
 
 # -- tabular outputs -----------------------------------------------------
 
 
-def write_samples_csv(path, names, draws) -> None:
-    """Draw matrix as CSV, one column per latent component."""
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2 or draws.shape[1] != len(names):
-        raise InvalidSpec("draws must be (count, len(names))")
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table: the header, then one line per row.
+
+    Strings and ints are written as they are and every other cell as
+    ``repr(float(v))``, which reads back bit for bit.  Each line ends in LF.
+    A row whose length differs from the header's raises InvalidSpec.
+    """
+    width = len(header)
+
+    def cells(row):
+        if len(row) != width:
+            raise InvalidSpec(f"a row of {len(row)} cells under a header of {width}")
+        return [v if isinstance(v, (str, int)) else repr(float(v)) for v in row]
+
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        for row in draws:
-            writer.writerow([repr(v) for v in row.tolist()])
-
-
-def write_summary_csv(path, summary) -> None:
-    """Posterior summary table with the documented column order."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=SUMMARY_COLUMNS)
-        writer.writeheader()
-        for i in range(len(summary.names)):
-            row = summary.row(i)
-            writer.writerow({k: (v if k == "Index" else repr(float(v))) for k, v in row.items()})
-
-
-def write_columns_csv(path, header, columns) -> None:
-    """Aligned numeric columns (e.g. density curves) as CSV."""
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    if len(cols) != len(header) or any(c.shape != cols[0].shape for c in cols):
-        raise InvalidSpec("one equally sized column per header entry is required")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in zip(*cols):
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(map(cells, rows))
 
 
 def read_a_matrix(path) -> np.ndarray:

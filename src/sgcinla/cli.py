@@ -37,7 +37,7 @@ import argparse
 import logging
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,21 +78,21 @@ RHAT_LIMIT = 1.05
 
 FIT_FILENAME = "fit.bin"
 
-log = logging.getLogger("sgcinla")
-
+# Exit code of each error type main reports; an error takes the code of the
+# nearest type in its method resolution order.
+_EXIT_CODES = {
+    FileNotFoundError: EXIT_MISSING_FIT,
+    InvalidSpec: EXIT_CONFIG,
+    DomainError: EXIT_CONFIG,
+    NoConvergence: EXIT_NO_CONVERGENCE,
+    DimensionMismatch: EXIT_DIMENSION,
+    SgcError: EXIT_FAILURE,
+}
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _load_fit_or_fail(out: Path):
-    path = out / FIT_FILENAME
-    if not path.exists():
-        print(f"error: no fit artifact at {path}; run 'fit' first", file=sys.stderr)
-        return None
-    return artifacts.load_fit(path)
 
 
 def _manifest(args, command: str, count: int = 0, kind: str = "") -> artifacts.RunManifest:
@@ -132,9 +132,7 @@ def cmd_fit(args) -> int:
 
 def cmd_sample(args) -> int:
     out = _out_dir(args)
-    fit = _load_fit_or_fail(out)
-    if fit is None:
-        return EXIT_MISSING_FIT
+    fit = artifacts.load_fit(out / FIT_FILENAME)
     kind = as_kind(args.kind)
     started = time.perf_counter()
     samples = sample_joint(fit, args.count, args.seed, kind=kind)
@@ -143,8 +141,12 @@ def cmd_sample(args) -> int:
 
     samples_path = out / f"samples-{kind.value}.csv"
     summary_path = out / f"summary-{kind.value}.csv"
-    artifacts.write_samples_csv(samples_path, samples.names, samples.draws)
-    artifacts.write_summary_csv(summary_path, summary)
+    artifacts.write_csv(samples_path, samples.names, samples.draws.tolist())
+    artifacts.write_csv(
+        summary_path,
+        artifacts.SUMMARY_COLUMNS,
+        [list(summary.row(i).values()) for i in range(len(summary.names))],
+    )
     _manifest(args, "sample", count=args.count, kind=kind.value).write(out)
     print(f"sample: {args.count} draws of {len(samples.names)} components ({elapsed:.2f} s)")
     print(f"sample: wrote {samples_path}")
@@ -160,19 +162,20 @@ def _write_lincomb_outputs(out: Path, joint) -> list:
     artifacts.write_joint_summary(out / "lincomb-summary.json", joint)
     curves = marginals_1d(joint)
     sd = joint.sd()
-    with open(out / "lincomb-marginals.csv", "w", newline="") as handle:
-        handle.write("name,mean,sd,skewness,xi,omega,alpha\n")
-        for i, curve in enumerate(curves):
-            p = curve.params
-            fields = (joint.mean[i], sd[i], joint.skewness[i], p.xi, p.omega, p.alpha)
-            handle.write(curve.name + "," + ",".join(repr(float(v)) for v in fields) + "\n")
-    names = np.concatenate([[c.name] * c.xs.size for c in curves])
-    xs = np.concatenate([c.xs for c in curves])
-    dens = np.concatenate([c.density for c in curves])
-    with open(out / "lincomb-density.csv", "w", newline="") as handle:
-        handle.write("component,x,density\n")
-        for name, x, d in zip(names, xs, dens):
-            handle.write(f"{name},{float(x)!r},{float(d)!r}\n")
+    artifacts.write_csv(
+        out / "lincomb-marginals.csv",
+        ("name", "mean", "sd", "skewness", "xi", "omega", "alpha"),
+        [
+            (c.name, joint.mean[i], sd[i], joint.skewness[i], c.params.xi, c.params.omega,
+             c.params.alpha)
+            for i, c in enumerate(curves)
+        ],
+    )
+    artifacts.write_csv(
+        out / "lincomb-density.csv",
+        ("component", "x", "density"),
+        [(c.name, x, d) for c in curves for x, d in zip(c.xs.tolist(), c.density.tolist())],
+    )
     return curves
 
 
@@ -187,14 +190,10 @@ def cmd_lincomb(args) -> int:
         joint = transform_moments(base, a)
         det_seconds = time.perf_counter() - started
     else:
-        fit = _load_fit_or_fail(out)
-        if fit is None:
-            return EXIT_MISSING_FIT
+        fit = artifacts.load_fit(out / FIT_FILENAME)
         started = time.perf_counter()
         joint = linear_combination_summary(fit, a)
         det_seconds = time.perf_counter() - started
-    if joint.clamped:
-        log.warning("clamped skewness on %d linear combinations", joint.clamped)
 
     curves = _write_lincomb_outputs(out, joint)
     print(f"lincomb: {joint.dim} combinations, deterministic path {det_seconds * 1e3:.3f} ms")
@@ -208,14 +207,14 @@ def cmd_lincomb(args) -> int:
         samples = sample_joint(fit, args.count, args.seed, kind=CorrectionKind.SKEW)
         projected = samples.draws @ a.T
         sample_seconds = time.perf_counter() - started
-        with open(out / "lincomb-kld.csv", "w", newline="") as handle:
-            handle.write("name,kld\n")
-            for i, curve in enumerate(curves):
-                lo = max(curve.xs[0], projected[:, i].min())
-                hi = min(curve.xs[-1], projected[:, i].max())
-                xs = np.linspace(lo, hi, 401)
-                value = kld_1d(xs, sn_pdf(curve.params, xs), kernel_density(projected[:, i], xs))
-                handle.write(f"{curve.name},{float(value)!r}\n")
+        rows = []
+        for i, curve in enumerate(curves):
+            lo = max(curve.xs[0], projected[:, i].min())
+            hi = min(curve.xs[-1], projected[:, i].max())
+            xs = np.linspace(lo, hi, 401)
+            value = kld_1d(xs, sn_pdf(curve.params, xs), kernel_density(projected[:, i], xs))
+            rows.append((curve.name, value))
+        artifacts.write_csv(out / "lincomb-kld.csv", ("name", "kld"), rows)
         print(
             f"lincomb: sampling path with {args.count} draws {sample_seconds * 1e3:.1f} ms, "
             f"wrote {out / 'lincomb-kld.csv'}"
@@ -244,9 +243,7 @@ def _parse_components(text, fit) -> list[int]:
 
 def cmd_compare_mcmc(args) -> int:
     out = _out_dir(args)
-    fit = _load_fit_or_fail(out)
-    if fit is None:
-        return EXIT_MISSING_FIT
+    fit = artifacts.load_fit(out / FIT_FILENAME)
     indices = _parse_components(args.components, fit)
 
     chain_config = ChainConfig(chains=args.chains, burn=args.burn, keep=args.keep)
@@ -272,50 +269,45 @@ def cmd_compare_mcmc(args) -> int:
     weighted_gamma = fit.weights @ fit.gamma
 
     header = ("x", "mcmc", "mean_corrected", "skew_corrected", "refined")
-    with open(out / "compare-mcmc.csv", "w", newline="") as handle:
-        handle.write("component,name,gamma,kld_mean,kld_skew,kld_refined\n")
-        for i in indices:
-            name = fit.names[i]
-            oracle = latent[:, i]
-            sets = (oracle, mean_samples.draws[:, i], skew_samples.draws[:, i])
-            lo = min(np.quantile(s, 0.001) for s in sets)
-            hi = max(np.quantile(s, 0.999) for s in sets)
-            xs = np.linspace(lo, hi, 401)
+    rows = []
+    for i in indices:
+        name = fit.names[i]
+        oracle = latent[:, i]
+        sets = (oracle, mean_samples.draws[:, i], skew_samples.draws[:, i])
+        lo = min(np.quantile(s, 0.001) for s in sets)
+        hi = max(np.quantile(s, 0.999) for s in sets)
+        xs = np.linspace(lo, hi, 401)
 
-            curve_oracle = kernel_density(oracle, xs)
-            curve_mean = marginal_density_estimate(mean_samples, i, xs)
-            curve_skew = marginal_density_estimate(skew_samples, i, xs)
-            curve_refined = fit.marginal_density(i, xs)
-            artifacts.write_columns_csv(
-                out / f"curves-{name}.csv",
-                header,
-                (xs, curve_oracle, curve_mean, curve_skew, curve_refined),
-            )
-            # upper-tail focus window
-            t_lo, t_hi = np.quantile(oracle, (0.90, 0.999))
-            txs = np.linspace(t_lo, t_hi, 101)
-            artifacts.write_columns_csv(
-                out / f"tail-{name}.csv",
-                header,
-                (
-                    txs,
-                    kernel_density(oracle, txs),
-                    marginal_density_estimate(mean_samples, i, txs),
-                    marginal_density_estimate(skew_samples, i, txs),
-                    fit.marginal_density(i, txs),
-                ),
-            )
-            kld_mean = kld_1d(xs, curve_oracle, curve_mean)
-            kld_skew = kld_1d(xs, curve_oracle, curve_skew)
-            kld_refined = kld_1d(xs, curve_oracle, curve_refined)
-            handle.write(
-                f"{i},{name},{float(weighted_gamma[i])!r},"
-                f"{float(kld_mean)!r},{float(kld_skew)!r},{float(kld_refined)!r}\n"
-            )
-            print(
-                f"compare-mcmc: {name} gamma={weighted_gamma[i]:+.3f} "
-                f"kld mean={kld_mean:.2e} skew={kld_skew:.2e} refined={kld_refined:.2e}"
-            )
+        curve_oracle = kernel_density(oracle, xs)
+        curve_mean = marginal_density_estimate(mean_samples, i, xs)
+        curve_skew = marginal_density_estimate(skew_samples, i, xs)
+        curve_refined = fit.marginal_density(i, xs)
+        curves = (xs, curve_oracle, curve_mean, curve_skew, curve_refined)
+        artifacts.write_csv(out / f"curves-{name}.csv", header, np.column_stack(curves).tolist())
+        # upper-tail focus window
+        t_lo, t_hi = np.quantile(oracle, (0.90, 0.999))
+        txs = np.linspace(t_lo, t_hi, 101)
+        tail = (
+            txs,
+            kernel_density(oracle, txs),
+            marginal_density_estimate(mean_samples, i, txs),
+            marginal_density_estimate(skew_samples, i, txs),
+            fit.marginal_density(i, txs),
+        )
+        artifacts.write_csv(out / f"tail-{name}.csv", header, np.column_stack(tail).tolist())
+        kld_mean = kld_1d(xs, curve_oracle, curve_mean)
+        kld_skew = kld_1d(xs, curve_oracle, curve_skew)
+        kld_refined = kld_1d(xs, curve_oracle, curve_refined)
+        rows.append((i, name, weighted_gamma[i], kld_mean, kld_skew, kld_refined))
+        print(
+            f"compare-mcmc: {name} gamma={weighted_gamma[i]:+.3f} "
+            f"kld mean={kld_mean:.2e} skew={kld_skew:.2e} refined={kld_refined:.2e}"
+        )
+    artifacts.write_csv(
+        out / "compare-mcmc.csv",
+        ("component", "name", "gamma", "kld_mean", "kld_skew", "kld_refined"),
+        rows,
+    )
     print(f"compare-mcmc: wrote {out / 'compare-mcmc.csv'}")
     _manifest(args, "compare-mcmc", count=args.count).write(out)
     return EXIT_OK
@@ -418,13 +410,11 @@ def cmd_bench_quantile(args) -> int:
 
     if args.out:
         out = _out_dir(args)
-        with open(out / "bench-quantile.csv", "w", newline="") as handle:
-            handle.write("function,path,min_ms,mean_ms,max_ms,max_abs_err\n")
-            for r in report.rows:
-                handle.write(
-                    f"{r.function},{r.path},{r.min_ms!r},{r.mean_ms!r},"
-                    f"{r.max_ms!r},{r.max_abs_err!r}\n"
-                )
+        artifacts.write_csv(
+            out / "bench-quantile.csv",
+            [f.name for f in fields(BenchRow)],
+            [astuple(r) for r in report.rows],
+        )
         _manifest(args, "bench-quantile", count=args.points).write(out)
         print(f"bench-quantile: wrote {out / 'bench-quantile.csv'}")
 
@@ -497,18 +487,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidSpec, DomainError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NoConvergence as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except DimensionMismatch as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except SgcError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
+    except (FileNotFoundError, SgcError) as err:
+        message = err
+        # every reader but load_fit reports a missing file as InvalidSpec
+        if isinstance(err, FileNotFoundError):
+            message = f"no fit artifact at {err.filename}; run 'fit' first"
+        print(f"error: {message}", file=sys.stderr)
+        return next(_EXIT_CODES[t] for t in type(err).__mro__ if t in _EXIT_CODES)
 
 
 def entry() -> None:  # console-script hook

@@ -65,6 +65,16 @@ def _mix_moments(weights, means, covs, thirds):
     return mean, cov, third
 
 
+def _check_finite(means, spreads, skewness) -> None:
+    """Refuse non-finite inputs before any arithmetic on them: a non-finite
+    mean or spread raises InvalidSpec and a non-finite skewness
+    SkewnessOutOfRange, as the sampler does for the same fit."""
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(spreads))):
+        raise InvalidSpec("means and variances must be finite")
+    if not np.all(np.isfinite(skewness)):
+        raise SkewnessOutOfRange("skewness must be finite")
+
+
 def _joint_summary(weights, means, covs, thirds, names) -> JointMomentSummary:
     """The one constructor of a summary from per-configuration moments.
 
@@ -117,6 +127,7 @@ def transform_moments(summary: JointMomentSummary, a, names=None) -> JointMoment
         raise DimensionMismatch(
             f"matrix has {a.shape[1]} columns, summary has {summary.dim} coordinates"
         )
+    _check_finite(summary.mean, summary.cov, summary.skewness)
     third_in = summary.skewness * summary.sd() ** 3
     return _joint_summary(
         [1.0], [a @ summary.mean], [a @ summary.cov @ a.T], [a**3 @ third_in], names
@@ -135,6 +146,7 @@ def linear_combination_summary(fit: FitResult, a, names=None) -> JointMomentSumm
     n = fit.mutilde.shape[1]
     if a.shape[1] != n:
         raise DimensionMismatch(f"matrix has {a.shape[1]} columns, field has {n}")
+    _check_finite(fit.mutilde, fit.sigma, fit.gamma)
     return _joint_summary(
         fit.weights,
         fit.mutilde @ a.T,

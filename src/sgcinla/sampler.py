@@ -105,8 +105,8 @@ def sample_joint(
     if count < 0:
         raise ValueError("count must be nonnegative")
     kind = as_kind(kind)
-    # built here, so pool children inherit the table with its cubics
-    table = default_table() if kind is CorrectionKind.SKEW and use_table else None
+    if kind is CorrectionKind.SKEW and use_table:
+        default_table()  # built here, so pool children inherit the cached table
     config = _assign_configs(fit.weights, count, seed)
     sizes = np.bincount(config, minlength=fit.n_config)
     out = _shared_array((count, fit.mutilde.shape[1]))
@@ -118,7 +118,6 @@ def sample_joint(
             int(sizes[k]),
             seed,
             kind,
-            table=table,
             use_table=use_table,
             salt=SALT_MIXTURE_BASE + k,
         ):

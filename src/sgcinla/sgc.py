@@ -29,7 +29,6 @@ from .gmrf import _BLOCK_ROWS, _LOG_2PI, PrecisionMatrix, covariance_from_precis
 from .rng import SALT_GMRF
 from .skewnormal import (
     GAMMA_ATTAINABLE,
-    QuantileTable,
     _groups,
     default_table,
     sn_cdf,
@@ -127,7 +126,6 @@ def forward_transform(
     fc: FullConditionalSGC,
     x,
     kind=CorrectionKind.SKEW,
-    table: QuantileTable | None = None,
     use_table: bool = True,
 ):
     """Map Gaussian-approximation states into the corrected posterior space.
@@ -139,10 +137,10 @@ def forward_transform(
     skew correction degenerates to the mean correction bit for bit.
     """
     x = _check_state(fc, x)
-    return _forward_map(fc, kind, table, use_table)(x)
+    return _forward_map(fc, kind, use_table)(x)
 
 
-def _forward_map(fc: FullConditionalSGC, kind, table: QuantileTable | None, use_table: bool):
+def _forward_map(fc: FullConditionalSGC, kind, use_table: bool):
     """:func:`forward_transform` of ``fc`` as a function of the states alone.
 
     Everything that depends on ``fc`` and the kind alone (the identity
@@ -157,7 +155,7 @@ def _forward_map(fc: FullConditionalSGC, kind, table: QuantileTable | None, use_
         return lambda x: x + shift
 
     if use_table:
-        table = table if table is not None else default_table()
+        table = default_table()
         rows = table.index_of(fc.gamma)
         identity = rows == table.index_of(0.0)
     else:
@@ -318,7 +316,6 @@ def full_conditional_blocks(
     count: int,
     seed: int,
     kind=CorrectionKind.SKEW,
-    table: QuantileTable | None = None,
     use_table: bool = True,
     salt: int = SALT_GMRF,
 ):
@@ -328,7 +325,7 @@ def full_conditional_blocks(
     ``_BLOCK_ROWS`` rows at a time, while they are still in cache, unless
     :func:`maps_in_blocks` says the correction goes in one block.
     """
-    forward = _forward_map(fc, kind, table, use_table)
+    forward = _forward_map(fc, kind, use_table)
     if not maps_in_blocks(kind, use_table):
         yield 0, forward(sample_gmrf(fc.mu, fc.precision, count, seed, salt=salt))
         return
@@ -342,7 +339,6 @@ def sample_full_conditional(
     count: int,
     seed: int,
     kind=CorrectionKind.SKEW,
-    table: QuantileTable | None = None,
     use_table: bool = True,
     salt: int = SALT_GMRF,
 ):
@@ -353,6 +349,6 @@ def sample_full_conditional(
     skew kinds agree bit for bit wherever the skewness rounds to zero.
     """
     out = np.empty((max(count, 0), fc.dim))
-    for start, block in full_conditional_blocks(fc, count, seed, kind, table, use_table, salt):
+    for start, block in full_conditional_blocks(fc, count, seed, kind, use_table, salt):
         out[start : start + block.shape[0]] = block
     return out

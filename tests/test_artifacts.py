@@ -9,7 +9,7 @@ import pytest
 
 from sgcinla import rng
 from sgcinla.artifacts import (
-    FIT_MAGIC,
+    FIT_FORMAT,
     RunManifest,
     SUMMARY_COLUMNS,
     load_config,
@@ -18,10 +18,10 @@ from sgcinla.artifacts import (
     read_joint_summary,
     save_fit,
     spec_from_config,
+    write_csv,
     write_joint_summary,
-    write_samples_csv,
-    write_summary_csv,
 )
+from sgcinla.cli import main
 from sgcinla.engine import fit_model
 from sgcinla.errors import InvalidSpec, SkewnessOutOfRange
 from sgcinla.lincomb import JointMomentSummary
@@ -50,6 +50,14 @@ def gaussian_config():
         "data": {"y": y.tolist(), "covariates": {"z": z.tolist()}},
         "tau_beta": 0.5,
     }
+
+
+def grouped_gaussian_config():
+    """A covariate and a sum-to-zero grouped random effect."""
+    config = gaussian_config()
+    config["data"]["group"] = np.repeat(np.arange(4), 5).tolist()
+    config["sum_to_zero"] = True
+    return config
 
 
 def test_inline_config_builds_spec():
@@ -162,26 +170,63 @@ def test_fit_file_stores_each_fact_once(tmp_path):
     fit = fit_model(spec_from_config(poisson_config()))
     path = tmp_path / "fit.bin"
     save_fit(path, fit)
-    blob = path.read_bytes()
-    assert blob[:8] == FIT_MAGIC == b"SGCFIT02"
-    payload = pickle.loads(blob[8:])
-    assert set(payload["approximations"][0]) == {"mean", "curvature", "converged", "iterations"}
+    doc = json.loads(path.read_text())
+    assert doc["format"] == FIT_FORMAT
+    assert set(doc["approximations"][0]) == {"mean", "curvature", "converged", "iterations"}
     _assert_same_fit(load_fit(path), fit)
 
 
-def test_fit_file_in_the_first_layout_still_loads(tmp_path):
-    fit = fit_model(spec_from_config(poisson_config()))
+@pytest.mark.parametrize("config", [grouped_gaussian_config, gaussian_config],
+                         ids=["covariate-sum-to-zero", "no-groups"])
+def test_load_fit_rebuilds_the_fit_bit_for_bit(tmp_path, config):
+    fit = fit_model(spec_from_config(config()))
     path = tmp_path / "fit.bin"
     save_fit(path, fit)
-    payload = pickle.loads(path.read_bytes()[8:])
-    # the first layout also stored theta and both precision matrices per configuration
-    for entry, ga in zip(payload["approximations"], fit.approximations):
-        entry["theta"] = ga.theta
-        entry["precision"] = ga.precision.matrix.copy()
-        entry["prior_precision"] = ga.prior_precision.matrix.copy()
-    old = tmp_path / "old.bin"
-    old.write_bytes(b"SGCFIT01" + pickle.dumps(payload, protocol=4))
-    _assert_same_fit(load_fit(old), fit)
+    loaded = load_fit(path)
+    _assert_same_fit(loaded, fit)
+    for name in ("mutilde", "sigma", "gamma"):
+        assert np.array_equal(getattr(loaded, name), getattr(fit, name)), name
+    for got, want in zip(loaded.grid, fit.grid):
+        assert np.array_equal(got.theta, want.theta)
+        assert (got.log_posterior, got.weight) == (want.log_posterior, want.weight)
+    for name in ("y", "covariates", "tau_beta"):
+        assert np.array_equal(getattr(loaded.spec, name), getattr(fit.spec, name)), name
+    assert len(loaded.spec.constraints) == len(fit.spec.constraints)
+    for got, want in zip(loaded.spec.constraints, fit.spec.constraints):
+        assert np.array_equal(got.C, want.C) and np.array_equal(got.e, want.e)
+
+
+def test_save_load_save_gives_the_same_bytes(tmp_path):
+    for config in (poisson_config, grouped_gaussian_config):
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save_fit(first, fit_model(spec_from_config(config())))
+        save_fit(second, load_fit(first))
+        assert first.read_bytes() == second.read_bytes()
+
+
+class _CreatesFile:
+    """Unpickling this object creates the file at ``path``."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+def test_pickled_fit_file_is_refused_unexecuted(tmp_path):
+    control = tmp_path / "control"
+    pickle.loads(pickle.dumps(_CreatesFile(control), protocol=4)).close()
+    assert control.exists()  # the payload does run when unpickled
+
+    marker = tmp_path / "marker"
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "fit.bin").write_bytes(b"SGCFIT02" + pickle.dumps(_CreatesFile(marker), protocol=4))
+    with pytest.raises(InvalidSpec):
+        load_fit(out / "fit.bin")
+    assert main(["sample", "--out", str(out), "--count", "10"]) == 2
+    assert not marker.exists()
 
 
 def test_loaded_fit_with_nan_skewness_does_not_draw(tmp_path):
@@ -203,10 +248,31 @@ def test_loaded_fit_with_nan_mean_does_not_draw(tmp_path):
 
 
 def test_load_fit_rejects_foreign_files(tmp_path):
-    path = tmp_path / "notafit.bin"
-    path.write_bytes(b"GARBAGE!" + b"\x00" * 16)
-    with pytest.raises(InvalidSpec):
-        load_fit(path)
+    fit = fit_model(spec_from_config(gaussian_config()))
+    good = tmp_path / "fit.bin"
+    save_fit(good, fit)
+    text = good.read_text()
+    doc = json.loads(text)
+    missing_key = dict(doc)
+    del missing_key["mutilde"]
+    missing_spec_key = json.loads(text)
+    del missing_spec_key["spec"]["y"]
+    bad = {
+        "garbage": b"GARBAGE!" + b"\x00" * 16,
+        "truncated": text[: len(text) // 2].encode(),
+        "not-utf8": b'{"format": "\xff\xfe"}',
+        "wrong-format": json.dumps(dict(doc, format="sgcinla-fit-2")).encode(),
+        "no-format": json.dumps({k: v for k, v in doc.items() if k != "format"}).encode(),
+        "missing-key": json.dumps(missing_key).encode(),
+        "missing-spec-key": json.dumps(missing_spec_key).encode(),
+        "not-an-object": b"[1, 2, 3]",
+        "wrong-type": json.dumps(dict(doc, grid=5)).encode(),
+    }
+    for name, blob in bad.items():
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(blob)
+        with pytest.raises(InvalidSpec):
+            load_fit(path)
     with pytest.raises(FileNotFoundError):
         load_fit(tmp_path / "missing.bin")
 
@@ -215,21 +281,28 @@ def test_samples_csv_round_trip(tmp_path):
     spec = spec_from_config(gaussian_config())
     samples = sample_joint(fit_model(spec), 50, seed=3)
     path = tmp_path / "samples.csv"
-    write_samples_csv(path, samples.names, samples.draws)
+    write_csv(path, samples.names, samples.draws.tolist())
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     assert tuple(rows[0]) == tuple(samples.names)
     back = np.array([[float(v) for v in row] for row in rows[1:]])
     assert np.array_equal(back, samples.draws)
+    assert b"\r" not in path.read_bytes()
     with pytest.raises(InvalidSpec):
-        write_samples_csv(path, samples.names[:-1], samples.draws)
+        write_csv(path, samples.names[:-1], samples.draws.tolist())
+
+
+def test_csv_cells_keep_strings_and_ints(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ("component", "name", "value"), [(3, "u_1", np.float64(0.1)), (4, "u_2", 2)])
+    assert path.read_bytes() == b"component,name,value\n3,u_1,0.1\n4,u_2,2\n"
 
 
 def test_summary_csv_layout(tmp_path):
     spec = spec_from_config(gaussian_config())
     summary = summarize(sample_joint(fit_model(spec), 500, seed=3))
     path = tmp_path / "summary.csv"
-    write_summary_csv(path, summary)
+    write_csv(path, SUMMARY_COLUMNS, [list(summary.row(i).values()) for i in range(len(summary.names))])
     with open(path, newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert tuple(rows[0].keys()) == SUMMARY_COLUMNS

@@ -253,6 +253,24 @@ def test_lincomb_zero_row_exits_with_dimension_code(poisson_run, tmp_path, caplo
     assert "clamped" not in caplog.text
 
 
+def test_lincomb_logs_each_clamp_once(tmp_path, caplog):
+    summary = tmp_path / "s.json"
+    summary.write_text(
+        json.dumps({"names": ["a"], "mean": [0.0], "cov": [[1.0]], "skewness": [0.995]})
+    )
+    one = tmp_path / "one.csv"
+    one.write_text("1\n")
+    with caplog.at_level(logging.WARNING, logger="sgcinla"):
+        assert main(
+            ["lincomb", "--out", str(tmp_path / "out"), "--a-matrix", str(one),
+             "--summary", str(summary)]
+        ) == 0
+    clamps = [r for r in caplog.records if "clamp" in r.getMessage()]
+    assert len(clamps) == 1
+    doc = json.loads((tmp_path / "out" / "lincomb-summary.json").read_text())
+    assert doc["skewness"] == [0.99] and doc["clamped"] == 1
+
+
 def test_compare_mcmc_gaussian_model_agrees(gaussian_run, tmp_path):
     config, _ = gaussian_run
     out = tmp_path / "cmp"

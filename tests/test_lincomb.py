@@ -242,6 +242,7 @@ def test_zero_row_raises_from_every_entry_point(poisson_fit):
         transform_moments(worked_summary(), np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_fit_raises_as_the_sampler_does(poisson_fit):
     idx = [1, 2, 30]  # selects both poisoned columns
     a = np.eye(poisson_fit.mutilde.shape[1])[idx]
@@ -258,6 +259,7 @@ def test_non_finite_fit_raises_as_the_sampler_does(poisson_fit):
             sample_joint(fit, 200, seed=3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_summary_raises_in_transform():
     bad_skew = dataclasses.replace(worked_summary(), skewness=np.array([np.nan, 0.6]))
     with pytest.raises(SkewnessOutOfRange):

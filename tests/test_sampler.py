@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 from scipy.interpolate import PchipInterpolator, PPoly
 
-from sgcinla import parallel, rng, sampler, sgc
+from sgcinla import parallel, rng, sampler
 from sgcinla.engine import fit_model
 from sgcinla.errors import IndexOutOfRange, InsufficientSamples
 from sgcinla.lincomb import kld_1d
@@ -27,7 +27,7 @@ from sgcinla.sampler import (
     summarize,
 )
 from sgcinla.sgc import CorrectionKind
-from sgcinla.skewnormal import default_table, standardized_map_direct
+from sgcinla.skewnormal import QuantileTable, default_table, standardized_map_direct
 
 
 @pytest.fixture(scope="module")
@@ -496,8 +496,11 @@ def test_children_use_the_table_built_by_the_parent(poisson_fit, monkeypatch):
     _force_workers(monkeypatch, 1)
     serial = sample_joint(poisson_fit, 3000, seed=21).draws.copy()
     _force_workers(monkeypatch, 2)
+    # with the cache empty, only a table built before the fork keeps the
+    # children from building one
+    default_table.cache_clear()
     monkeypatch.setattr(
-        sgc, "default_table", _failing_in_children(sgc.default_table, RuntimeError("child table"))
+        QuantileTable, "build", _failing_in_children(QuantileTable.build, RuntimeError("child table"))
     )
     assert np.array_equal(sample_joint(poisson_fit, 3000, seed=21).draws, serial)
 

@@ -276,6 +276,21 @@ def test_fast_map_linear_tails(table):
     assert abs((v3 - v2) - (v2 - v1)) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-99, 99),
+    st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=40),
+)
+def test_fast_map_rows_are_monotone_and_near_the_exact_map(step, zs):
+    gamma = step / 100.0  # on the default table's grid
+    z = np.sort(np.array(zs))
+    fast = fast_map(default_table(), z, gamma)
+    # non-decreasing to round-off: at a node, the cubic of the cell to its
+    # left can end an ulp above the node value (PPoly sums it the same way)
+    assert np.all(np.diff(fast) >= -4 * np.finfo(float).eps * (1.0 + np.abs(fast[1:])))
+    assert np.max(np.abs(fast - standardized_map_direct(gamma, z))) <= 1e-3
+
+
 def test_fast_map_rejects_out_of_range_gamma(table):
     with pytest.raises(SkewnessOutOfRange):
         fast_map(table, np.zeros(1), 0.999)
