@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, artifacts, rng
+from . import __version__, artifacts, rng, sampler
 from .engine import fit_model
 from .errors import (
     DimensionMismatch,
@@ -95,6 +95,12 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_count(count: int, least: int, need: str) -> None:
+    """Refuse a ``--count`` below ``least`` draws before any work is done."""
+    if count < least:
+        raise InvalidSpec(f"--count {count}: at least {least} draws needed for {need}")
+
+
 def _manifest(args, command: str, count: int = 0, kind: str = "") -> artifacts.RunManifest:
     return artifacts.RunManifest(
         command=command,
@@ -131,6 +137,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _check_count(args.count, sampler.SUMMARY_MIN_DRAWS, "summaries")
     out = _out_dir(args)
     fit = artifacts.load_fit(out / FIT_FILENAME)
     kind = as_kind(args.kind)
@@ -180,10 +187,11 @@ def _write_lincomb_outputs(out: Path, joint) -> list:
 
 
 def cmd_lincomb(args) -> int:
+    if args.summary and args.count:
+        raise InvalidSpec("sampling mode (--count) needs a fit artifact, not --summary")
     a = artifacts.read_a_matrix(args.a_matrix)
     out = _out_dir(args)
 
-    fit = None
     if args.summary:
         base = artifacts.read_joint_summary(args.summary)
         started = time.perf_counter()
@@ -200,9 +208,6 @@ def cmd_lincomb(args) -> int:
     print(f"lincomb: wrote {out / 'lincomb-summary.json'}")
 
     if args.count:
-        if fit is None:
-            print("error: sampling mode needs a fit artifact, not --summary", file=sys.stderr)
-            return EXIT_CONFIG
         started = time.perf_counter()
         samples = sample_joint(fit, args.count, args.seed, kind=CorrectionKind.SKEW)
         projected = samples.draws @ a.T
@@ -242,11 +247,15 @@ def _parse_components(text, fit) -> list[int]:
 
 
 def cmd_compare_mcmc(args) -> int:
+    _check_count(args.count, sampler.DENSITY_MIN_DRAWS, "density estimates")
+    try:
+        chain_config = ChainConfig(chains=args.chains, burn=args.burn, keep=args.keep)
+    except ValueError as err:
+        raise InvalidSpec(str(err)) from None
     out = _out_dir(args)
     fit = artifacts.load_fit(out / FIT_FILENAME)
     indices = _parse_components(args.components, fit)
 
-    chain_config = ChainConfig(chains=args.chains, burn=args.burn, keep=args.keep)
     started = time.perf_counter()
     run = run_reference(fit.spec, chain_config, seed=args.seed)
     mcmc_seconds = time.perf_counter() - started
@@ -342,7 +351,7 @@ class BenchReport:
         return max(r.max_abs_err for r in self.rows)
 
 
-def run_quantile_benchmark(points: int = 1_000_000, reps: int = 100, seed: int = 0) -> BenchReport:
+def run_quantile_benchmark(points: int, reps: int, seed: int) -> BenchReport:
     """Time direct vs fast pdf/cdf/quantile evaluation on random batches.
 
     The pdf and cdf rows compare this package's closed forms against the

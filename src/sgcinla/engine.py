@@ -108,21 +108,23 @@ def _objective_terms(spec: ModelSpec, x: np.ndarray, q: PrecisionMatrix, fac=Non
     return value, d1, d2
 
 
+# Damped Newton of the Gaussian approximation: step budget, gradient max-norm at
+# the mode, and halvings per line search, a cap the refinement's inner Newton shares.
+NEWTON_MAX_ITER = 50
+NEWTON_GRAD_TOL = 1e-6
+NEWTON_MAX_HALVINGS = 10
+
+
 def gaussian_approximation(
-    spec: ModelSpec,
-    theta=(),
-    x0: np.ndarray | None = None,
-    max_iter: int = 50,
-    grad_tol: float = 1e-6,
-    max_halvings: int = 10,
+    spec: ModelSpec, theta=(), x0: np.ndarray | None = None
 ) -> GaussianApprox:
     """Damped Newton search for the mode and curvature of pi(x | theta, y).
 
     Each iteration solves (Q + diag(c)) x = b with c the negative likelihood
     curvature and b the matching linearization point, then halves the step
-    until the objective does not decrease (at most ``max_halvings`` times).
+    until the objective does not decrease (at most NEWTON_MAX_HALVINGS times).
     Constraints, when present, are re-imposed on every iterate.  Convergence
-    is declared when the gradient's max-norm falls below ``grad_tol``; on
+    is declared when the gradient's max-norm falls below NEWTON_GRAD_TOL; on
     budget exhaustion the last iterate is returned with ``converged=False``.
     """
     q = assemble_precision(spec, theta)
@@ -137,7 +139,7 @@ def gaussian_approximation(
     converged = False
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, NEWTON_MAX_ITER + 1):
         curvature = np.zeros(big_n)
         curvature[:n] = -d2
         b = np.zeros(big_n)
@@ -150,7 +152,7 @@ def gaussian_approximation(
         # damped line search back toward the current iterate
         step = proposal - x
         scale = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(NEWTON_MAX_HALVINGS + 1):
             cand = x + scale * step
             cand_value, cand_d1, cand_d2 = _objective_terms(spec, cand, q, q_fac)
             if cand_value >= value or np.allclose(cand, x):
@@ -165,7 +167,7 @@ def gaussian_approximation(
             cc = con.C
             coef = np.linalg.solve(cc @ cc.T, cc @ grad)
             grad = grad - cc.T @ coef
-        if np.max(np.abs(grad)) <= grad_tol:
+        if np.max(np.abs(grad)) <= NEWTON_GRAD_TOL:
             converged = True
             break
 
@@ -173,7 +175,7 @@ def gaussian_approximation(
     curvature[:n] = -d2
     qstar = q.plus_diagonal(curvature)
     if not converged:
-        logger.warning("gaussian approximation did not converge in %d iterations", max_iter)
+        logger.warning("gaussian approximation did not converge in %d iterations", NEWTON_MAX_ITER)
     return GaussianApprox(
         theta=np.atleast_1d(np.asarray(theta, dtype=float)),
         mean=x,
@@ -185,7 +187,7 @@ def gaussian_approximation(
     )
 
 
-def log_hyper_posterior(spec: ModelSpec, theta=(), approx: GaussianApprox | None = None) -> float:
+def log_hyper_posterior(spec: ModelSpec, theta=()) -> float:
     """Unnormalized log posterior of theta by the Laplace ratio at the mode.
 
     log pi(theta) + log pi(mu | theta) + sum loglik(y | mu)
@@ -197,7 +199,7 @@ def log_hyper_posterior(spec: ModelSpec, theta=(), approx: GaussianApprox | None
     NoConvergence
         If the underlying Gaussian approximation did not converge.
     """
-    ga = approx if approx is not None else gaussian_approximation(spec, theta)
+    ga = gaussian_approximation(spec, theta)
     if not ga.converged:
         raise NoConvergence(f"gaussian approximation failed at theta={theta}")
     mu = ga.mean
@@ -298,15 +300,17 @@ def explore_grid(spec: ModelSpec) -> list[GridPoint]:
 # ---------------------------------------------------------------------------
 
 
-def _conditional_mode(
-    spec: ModelSpec,
-    q: PrecisionMatrix,
-    i: int,
-    value: float,
-    x_start: np.ndarray,
-    max_iter: int = 30,
-    grad_tol: float = 1e-8,
-):
+# Conditional-mode Newton of a refinement node: step budget and reduced-gradient
+# max-norm, near its round-off floor at tau_eps = e^15, so it decides which nodes drop.
+CONDITIONAL_MAX_ITER = 30
+CONDITIONAL_GRAD_TOL = 1e-8
+# Refinement: nodes per side, outer nodes' distance in sds, and integration points.
+REFINE_HALF_NODES = 4
+REFINE_SPAN = 3.5
+REFINE_FINE_POINTS = 161
+
+
+def _conditional_mode(spec: ModelSpec, q: PrecisionMatrix, i: int, value, x_start):
     """Mode of the log joint over x_{-i} with x_i fixed at ``value``.
 
     Damped Newton on the reduced system; returns (x, log_det of the reduced
@@ -315,8 +319,8 @@ def _conditional_mode(
     positive definite.
 
     Each step factors the reduced curvature once: an LU solve for the Newton
-    step while the gradient is above ``grad_tol``, and a Cholesky for the
-    log-determinant only at the mode.  Checking positive definiteness at the
+    step while the gradient is above CONDITIONAL_GRAD_TOL, and a Cholesky for
+    the log-determinant only at the mode.  Checking positive definiteness at the
     mode alone suffices because every supported likelihood is log-concave in
     eta (its d2 <= 0), so each reduced curvature is a principal submatrix of
     the SPD prior precision plus a nonnegative diagonal, hence SPD.
@@ -329,7 +333,7 @@ def _conditional_mode(
     x = np.array(x_start, dtype=float)
     x[i] = value
     value_obj, d1, d2 = _objective_terms(spec, x, q)
-    for _ in range(max_iter):
+    for _ in range(CONDITIONAL_MAX_ITER):
         grad_full = -(q.matrix @ x)
         grad_full[:n] += d1
         grad = grad_full[mask]
@@ -337,7 +341,7 @@ def _conditional_mode(
         curv[:n] = -d2
         h_sub = q_sub + np.diag(curv[mask])
 
-        if np.max(np.abs(grad)) <= grad_tol:
+        if np.max(np.abs(grad)) <= CONDITIONAL_GRAD_TOL:
             try:
                 low = np.linalg.cholesky(h_sub)
             except np.linalg.LinAlgError:
@@ -349,7 +353,7 @@ def _conditional_mode(
         # and with it which refinement nodes stall and drop
         step_sub = np.linalg.solve(h_sub, grad)
         scale = 1.0
-        for _ in range(11):
+        for _ in range(NEWTON_MAX_HALVINGS + 1):
             cand = x.copy()
             cand[mask] += scale * step_sub
             cand_value, cand_d1, cand_d2 = _objective_terms(spec, cand, q)
@@ -360,24 +364,17 @@ def _conditional_mode(
     raise NoConvergence(f"conditional mode search for component {i} did not converge")
 
 
-def refine_marginal(
-    spec: ModelSpec,
-    approx: GaussianApprox,
-    i: int,
-    half_nodes: int = 4,
-    span: float = 3.5,
-    fine: int = 161,
-) -> MarginalRefinement:
+def refine_marginal(spec: ModelSpec, approx: GaussianApprox, i: int) -> MarginalRefinement:
     """Laplace-refined marginal of latent component ``i``, moment-matched.
 
-    Evaluates the marginal on 2 * half_nodes + 1 abscissae mu_i + j * step,
-    step = span/half_nodes * sigma_i.  At each abscissa the conditional mode
-    over the remaining coordinates is re-located (warm-started from the
-    neighbouring node) and the full joint density is divided by a fresh
-    Gaussian approximation of the conditional at that mode.  The normalized
-    refinement yields the mean and skewness; the sd is pinned to the
-    Gaussian-approximation marginal sd by construction.  Skewness is clamped
-    to the tabulated range [-0.99, 0.99].
+    Evaluates the marginal on 2 h + 1 abscissae mu_i + j * step, h =
+    REFINE_HALF_NODES, step = REFINE_SPAN / h * sigma_i.  At each abscissa
+    the conditional mode over the remaining coordinates is re-located
+    (warm-started from the neighbouring node) and the full joint density is
+    divided by a fresh Gaussian approximation of the conditional at that
+    mode.  The normalized refinement yields the mean and skewness; the sd is
+    pinned to the Gaussian-approximation marginal sd by construction.
+    Skewness is clamped to the tabulated range [-0.99, 0.99].
 
     Nodes whose inner Newton fails are dropped; if more than 20% drop the
     result is flagged.  Nothing is logged here: the caller reports the flag,
@@ -388,11 +385,11 @@ def refine_marginal(
     q = approx.prior_precision
     mu = approx.mean
     sigma_i = float(approx.marginal_sd()[i])
-    offsets = np.arange(-half_nodes, half_nodes + 1)
-    nodes = mu[i] + offsets * (span / half_nodes) * sigma_i
+    offsets = np.arange(-REFINE_HALF_NODES, REFINE_HALF_NODES + 1)
+    nodes = mu[i] + offsets * (REFINE_SPAN / REFINE_HALF_NODES) * sigma_i
 
     log_vals = np.full(nodes.size, np.nan)
-    center = half_nodes
+    center = REFINE_HALF_NODES
     # walk outward from the center so each solve warm-starts from its neighbour
     order = np.argsort(np.abs(offsets), kind="stable")
     starts = {center: mu}
@@ -419,7 +416,7 @@ def refine_marginal(
     flagged = dropped > 0.2 * nodes.size
 
     spline = CubicSpline(nodes[good], log_vals[good] - np.max(log_vals[good]))
-    xs = np.linspace(nodes[good][0], nodes[good][-1], fine)
+    xs = np.linspace(nodes[good][0], nodes[good][-1], REFINE_FINE_POINTS)
     dens = np.exp(spline(xs))
     mass = trapezoid(dens, xs)
     dens /= mass

@@ -166,17 +166,21 @@ class MarginalCurve:
     density: np.ndarray = field(repr=False)
 
 
-def marginals_1d(summary: JointMomentSummary, points: int = 401, span: float = 6.0):
+# Density table of a margin: points on mean +- span sds, outside which at most 1e-5 of its mass lies
+MARGINAL_POINTS = 401
+MARGINAL_SPAN = 6.0
+
+
+def marginals_1d(summary: JointMomentSummary):
     """Moment-matched skew-normal margins with density tables.
 
-    Each margin is tabulated on mean +- span sd; the tables feed density
-    comparisons and divergence estimates downstream.
+    Each margin is tabulated on mean +- MARGINAL_SPAN sd; the tables feed
+    density comparisons and divergence estimates downstream.
     """
     sds = summary.sd()
     pars = sn_params_from_moments(summary.mean, sds**2, summary.skewness)
-    grids = np.ascontiguousarray(
-        np.linspace(summary.mean - span * sds, summary.mean + span * sds, points).T
-    )
+    lo, hi = summary.mean - MARGINAL_SPAN * sds, summary.mean + MARGINAL_SPAN * sds
+    grids = np.ascontiguousarray(np.linspace(lo, hi, MARGINAL_POINTS).T)
     columns = SkewNormalParams(pars.xi[:, None], pars.omega[:, None], pars.alpha[:, None])
     densities = sn_pdf(columns, grids)
     curves = []

@@ -28,17 +28,22 @@ from .model import ModelSpec
 from .rng import SALT_MCMC_BASE, stream
 
 
+# Burn-in adaptation of every recorded reference run: every ADAPT_INTERVAL iterations each
+# proposal sd (first STEP_INIT) shrinks by 0.8 below ACCEPT_LOW acceptance, grows by 1.25 above
+# ACCEPT_HIGH.
+ADAPT_INTERVAL = 50
+STEP_INIT = 0.5
+ACCEPT_LOW = 0.23
+ACCEPT_HIGH = 0.40
+
+
 @dataclass(frozen=True)
 class ChainConfig:
-    """Run lengths and adaptation settings for the reference sampler."""
+    """Run lengths of the reference sampler."""
 
     chains: int = 4
     burn: int = 2000
     keep: int = 5000
-    adapt_interval: int = 50
-    step_init: float = 0.5
-    accept_low: float = 0.23
-    accept_high: float = 0.40
 
     def __post_init__(self):
         if self.chains < 2:
@@ -53,7 +58,7 @@ def metropolis_componentwise(logpost, x0: np.ndarray, config: ChainConfig, seed:
     ``logpost`` maps a (chains, dim) state block to one log density per
     chain.  Every iteration proposes each coordinate in turn with its own
     per-chain step size; during burn-in the steps adapt in batches toward
-    the configured acceptance band, afterwards they stay fixed.
+    the acceptance band [ACCEPT_LOW, ACCEPT_HIGH], afterwards they stay fixed.
 
     Returns (draws, accept_rate) with draws shaped (chains, keep, dim) and
     the post-burn-in acceptance rate per coordinate pooled over chains.
@@ -61,7 +66,7 @@ def metropolis_componentwise(logpost, x0: np.ndarray, config: ChainConfig, seed:
     x = np.array(x0, dtype=float)
     chains, dim = x.shape
     gen = stream(seed, SALT_MCMC_BASE)
-    steps = np.full((chains, dim), config.step_init)
+    steps = np.full((chains, dim), STEP_INIT)
     current = logpost(x)
     if current.shape != (chains,):
         raise ValueError("logpost must return one value per chain")
@@ -85,10 +90,10 @@ def metropolis_componentwise(logpost, x0: np.ndarray, config: ChainConfig, seed:
             if it >= config.burn:
                 kept_acc[d] += float(np.count_nonzero(ok))
         batch_n += 1
-        if it < config.burn and batch_n == config.adapt_interval:
+        if it < config.burn and batch_n == ADAPT_INTERVAL:
             rate = batch_acc / batch_n
-            steps *= np.where(rate < config.accept_low, 0.8, 1.0)
-            steps *= np.where(rate > config.accept_high, 1.25, 1.0)
+            steps *= np.where(rate < ACCEPT_LOW, 0.8, 1.0)
+            steps *= np.where(rate > ACCEPT_HIGH, 1.25, 1.0)
             batch_acc[:] = 0.0
             batch_n = 0
         if it == config.burn - 1:

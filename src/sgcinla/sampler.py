@@ -239,13 +239,17 @@ def _mode_candidates(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.flatnonzero(approx + bound >= np.max(approx - bound) - n * _BIN_SLACK)
 
 
-def _kde_mode(x: np.ndarray, points: int = 512) -> float:
+# Grid points of a kernel mode search: the mode is placed to 1/511 of the draws' padded range.
+KDE_MODE_POINTS = 512
+
+
+def _kde_mode(x: np.ndarray) -> float:
     """Argmax of a Silverman-bandwidth kernel density on a fine grid.
 
     Returns ``grid[argmax(kernel_density(x, grid))]`` bit for bit, first
-    index on ties, for the ``points``-point grid over the draws' range with
-    a 5% pad on each side.  The exact density is evaluated only at the grid
-    points that a binned approximation and its error bound cannot rule out
+    index on ties, for the KDE_MODE_POINTS-point grid over the draws' range
+    with a 5% pad on each side.  The exact density is evaluated only at the
+    grid points that a binned approximation and its error bound cannot rule out
     (binned kernel densities: Wand 1994, JCGS 3:433; Fan & Marron 1994,
     JCGS 3:35), usually two to four of them.
 
@@ -286,7 +290,7 @@ def _kde_mode(x: np.ndarray, points: int = 512) -> float:
     if hi == lo:
         return lo
     pad = 0.05 * (hi - lo)
-    grid = np.linspace(lo - pad, hi + pad, points)
+    grid = np.linspace(lo - pad, hi + pad, KDE_MODE_POINTS)
     x = np.sort(np.asarray(x, dtype=float))
     cand = grid[_mode_candidates(x, grid)]
     return float(cand[np.argmax(kernel_density(x, cand))])
@@ -307,16 +311,21 @@ def _skewness(draws: np.ndarray) -> np.ndarray:
         return np.where(zero, np.nan, m3 / m2**1.5)
 
 
-def summarize(samples: JointSamples, min_count: int = 100) -> PosteriorSummary:
+# Fewest draws for summaries (a few beyond each 2.5% tail) and for density curves.
+SUMMARY_MIN_DRAWS = 100
+DENSITY_MIN_DRAWS = 1000
+
+
+def summarize(samples: JointSamples) -> PosteriorSummary:
     """Means, sds, central quantiles, kernel modes and skewness per component.
 
     Everything is computed in this process: each kernel mode evaluates the
     exact density at a handful of grid points (:func:`_kde_mode`), which
     costs less than handing the components to a process pool.
     """
-    if samples.count < min_count:
+    if samples.count < SUMMARY_MIN_DRAWS:
         raise InsufficientSamples(
-            f"{samples.count} draws, at least {min_count} needed for summaries"
+            f"{samples.count} draws, at least {SUMMARY_MIN_DRAWS} needed for summaries"
         )
     draws = samples.draws
     mode = np.array([_kde_mode(draws[:, i]) for i in range(samples.dim)])
@@ -333,12 +342,10 @@ def summarize(samples: JointSamples, min_count: int = 100) -> PosteriorSummary:
     )
 
 
-def marginal_density_estimate(
-    samples: JointSamples, component: int, xs, min_count: int = 1000
-) -> np.ndarray:
+def marginal_density_estimate(samples: JointSamples, component: int, xs) -> np.ndarray:
     """Kernel density estimate of one component's marginal on a grid."""
-    if samples.count < min_count:
+    if samples.count < DENSITY_MIN_DRAWS:
         raise InsufficientSamples(
-            f"{samples.count} draws, at least {min_count} needed for density estimates"
+            f"{samples.count} draws, at least {DENSITY_MIN_DRAWS} needed for density estimates"
         )
     return kernel_density(samples.draws[:, component], xs)

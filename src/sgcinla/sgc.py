@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import BoundaryEvaluation, DimensionMismatch, InvalidSpec, SkewnessOutOfRange
-from .gmrf import _BLOCK_ROWS, _LOG_2PI, PrecisionMatrix, covariance_from_precision, gmrf_blocks, sample_gmrf
+from .gmrf import _BLOCK_ROWS, _LOG_2PI, PrecisionMatrix, gmrf_blocks, sample_gmrf
 from .rng import SALT_GMRF
 from .skewnormal import (
     GAMMA_ATTAINABLE,
@@ -66,32 +66,27 @@ class FullConditionalSGC:
     ``mu`` and ``precision`` come from the Gaussian approximation;
     ``mutilde``, ``sigma`` and ``gamma`` hold the refined marginal mean,
     the Gaussian marginal sd and the refined skewness per coordinate.
-    When ``sigma`` is omitted it is recovered from the precision matrix.
     """
 
     mu: np.ndarray
     precision: PrecisionMatrix
     mutilde: np.ndarray
     gamma: np.ndarray
-    sigma: np.ndarray | None = None
+    sigma: np.ndarray
 
     def __post_init__(self):
         self.mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         self.mutilde = np.atleast_1d(np.asarray(self.mutilde, dtype=float))
         self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
+        self.sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
         n = self.mu.size
-        if self.precision.dim != n or self.mutilde.size != n or self.gamma.size != n:
-            raise DimensionMismatch("mu, mutilde, gamma and precision disagree in size")
+        sizes = (self.mutilde.size, self.gamma.size, self.sigma.size)
+        if self.precision.dim != n or any(size != n for size in sizes):
+            raise DimensionMismatch("mu, mutilde, gamma, sigma and precision disagree in size")
         if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.mutilde))):
             raise InvalidSpec("marginal means must be finite")
         if not np.all(np.abs(self.gamma) < GAMMA_ATTAINABLE):  # NaN fails too
             raise SkewnessOutOfRange("marginal skewness outside the attainable range")
-        if self.sigma is None:
-            self.sigma = np.sqrt(np.diag(covariance_from_precision(self.precision)))
-        else:
-            self.sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
-            if self.sigma.size != n:
-                raise DimensionMismatch("sigma disagrees with mu in size")
         if not np.all(self.sigma > 0):
             raise InvalidSpec("marginal sds must be positive")
 
@@ -301,7 +296,7 @@ def correction_delta(fc: FullConditionalSGC) -> float:
     return 0.5 * quad - log_jac
 
 
-def maps_in_blocks(kind, use_table: bool = True) -> bool:
+def maps_in_blocks(kind, use_table: bool) -> bool:
     """Whether :func:`full_conditional_blocks` corrects its draws block by block.
 
     Every correction but the exact skew map costs a little per row.  The
@@ -312,12 +307,7 @@ def maps_in_blocks(kind, use_table: bool = True) -> bool:
 
 
 def full_conditional_blocks(
-    fc: FullConditionalSGC,
-    count: int,
-    seed: int,
-    kind=CorrectionKind.SKEW,
-    use_table: bool = True,
-    salt: int = SALT_GMRF,
+    fc: FullConditionalSGC, count: int, seed: int, kind, use_table: bool, salt: int
 ):
     """Yield ``(start, draws)`` blocks of :func:`sample_full_conditional`'s rows.
 
@@ -340,15 +330,14 @@ def sample_full_conditional(
     seed: int,
     kind=CorrectionKind.SKEW,
     use_table: bool = True,
-    salt: int = SALT_GMRF,
 ):
     """Draw corrected-posterior samples for one configuration.
 
-    All kinds share the same underlying Gaussian draws for a given seed and
-    salt, so corrections are directly comparable path by path; the mean and
-    skew kinds agree bit for bit wherever the skewness rounds to zero.
+    All kinds share the same underlying Gaussian draws for a given seed, so
+    corrections are directly comparable path by path; the mean and skew
+    kinds agree bit for bit wherever the skewness rounds to zero.
     """
     out = np.empty((max(count, 0), fc.dim))
-    for start, block in full_conditional_blocks(fc, count, seed, kind, use_table, salt):
+    for start, block in full_conditional_blocks(fc, count, seed, kind, use_table, SALT_GMRF):
         out[start : start + block.shape[0]] = block
     return out

@@ -156,12 +156,18 @@ _BRACKET_LEVEL = float(ndtr(-8.0))
 _BRACKET_Z = 8.5
 
 
-def sn_quantile(params: SkewNormalParams, q, tol: float = 1e-12, max_iter: int = 80):
+# sn_quantile stops once a step or its bracket is below QUANTILE_TOL * max(1, |x|), or
+# after QUANTILE_MAX_ITER steps; the default table and recorded maps were solved so.
+QUANTILE_TOL = 1e-12
+QUANTILE_MAX_ITER = 80
+
+
+def sn_quantile(params: SkewNormalParams, q):
     """Quantile by safeguarded Newton iteration, vectorized in q.
 
     Newton steps on the cdf are kept inside a shrinking bisection bracket,
     so convergence is monotone even far in the tails.  Accuracy is at the
-    1e-12 level in x for probabilities away from the extreme tails.
+    ``QUANTILE_TOL`` level in x for probabilities away from the extreme tails.
 
     ``params`` holds scalars, or arrays the shape of ``q`` with one triple per
     level.  Every element takes the same steps and stopping test as it would
@@ -207,7 +213,7 @@ def sn_quantile(params: SkewNormalParams, q, tol: float = 1e-12, max_iter: int =
     mean, variance = _start_moments(params)
     x = np.clip(mean + np.sqrt(variance) * ndtri(qv), lo + 1e-12, hi - 1e-12)
     active = np.arange(x.size)
-    for _ in range(max_iter):
+    for _ in range(QUANTILE_MAX_ITER):
         xa = x[active]
         pa = _take(params, active)
         f = sn_cdf(pa, xa) - qv[active]
@@ -219,7 +225,7 @@ def sn_quantile(params: SkewNormalParams, q, tol: float = 1e-12, max_iter: int =
         cand = xa - step
         inside = np.isfinite(cand) & (cand >= lo_a) & (cand <= hi_a)
         x_new = np.where(inside, cand, 0.5 * (lo_a + hi_a))
-        scale = tol * np.maximum(1.0, np.abs(x_new))
+        scale = QUANTILE_TOL * np.maximum(1.0, np.abs(x_new))
         done = (inside & (np.abs(step) <= scale)) | (hi_a - lo_a <= scale)
         x[active] = x_new
         lo[active] = lo_a
@@ -279,15 +285,11 @@ def standardized_map_direct(gamma, z):
 _SLICE_ELEMENTS = 16384
 
 
-def _default_nodes(z_max: float, n_nodes: int) -> np.ndarray:
-    """Node layout: equispaced core on [-3.5, 3.5] plus sparse tail nodes."""
-    tail = np.array([4.0, 5.0, 6.0])
-    tail = tail[tail <= z_max]
-    if z_max > 6.0:
-        tail = np.append(tail, z_max)
-    core_n = n_nodes - 2 * tail.size
-    core = np.linspace(-3.5, 3.5, core_n)
-    return np.concatenate([-tail[::-1], core, tail])
+# Table rows every TABLE_GAMMA_STEP in [-GAMMA_CLAMP, GAMMA_CLAMP]; 61 shared, read-only
+# nodes: 55 on [-3.5, 3.5], where nearly all draws fall, and sparse tails at +-4, 5, 6.
+TABLE_GAMMA_STEP = 0.01
+TABLE_Z_NODES = np.concatenate([[-6.0, -5.0, -4.0], np.linspace(-3.5, 3.5, 55), [4.0, 5.0, 6.0]])
+TABLE_Z_NODES.setflags(write=False)
 
 
 class QuantileTable:
@@ -332,13 +334,7 @@ class QuantileTable:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def build(
-        cls,
-        gamma_step: float = 0.01,
-        gamma_max: float = GAMMA_CLAMP,
-        z_max: float = 6.0,
-        n_nodes: int = 61,
-    ) -> "QuantileTable":
+    def build(cls) -> "QuantileTable":
         """Build the table by exact quantile solves at every (gamma, node).
 
         All rows are solved in one vectorized ``sn_quantile`` call, each level
@@ -346,8 +342,8 @@ class QuantileTable:
         ``standardized_map_direct(gamma, nodes)``.  The gamma = 0 row is
         ``nodes`` itself.
         """
-        half = int(round(gamma_max / gamma_step))
-        nodes = _default_nodes(z_max, n_nodes)
+        gamma_step, nodes = TABLE_GAMMA_STEP, TABLE_Z_NODES
+        half = int(round(GAMMA_CLAMP / gamma_step))
         rows = [standardized_params(float(i * gamma_step)) for i in range(-half, half + 1) if i]
         per_level = SkewNormalParams(
             *(np.repeat([getattr(p, f) for p in rows], nodes.size) for f in ("xi", "omega", "alpha"))
@@ -371,12 +367,6 @@ class QuantileTable:
             )
         idx = np.rint(g / self.gamma_step).astype(int) + self._half
         return np.clip(idx, 0, self.values.shape[0] - 1)
-
-    def map_row(self, idx: int, z: np.ndarray) -> np.ndarray:
-        """Evaluate row ``idx`` with linear continuation beyond the nodes."""
-        if idx == self._half:
-            return np.array(z, dtype=float, copy=True)
-        return self.map_rows(idx, z)
 
     def map_rows(self, rows, z) -> np.ndarray:
         """Evaluate row ``rows[i]`` at ``z[i]``; ``rows`` broadcasts against ``z``.
@@ -453,14 +443,12 @@ def fast_map(table: QuantileTable, z, gamma):
 
     Notes
     -----
-    Entries whose rounded skewness is 0 pass through unchanged.  Mixed
-    batches go through ``QuantileTable.map_rows`` with one row per entry, so
+    Entries whose rounded skewness is 0 pass through unchanged.  A scalar
+    gamma and mixed batches alike go through ``QuantileTable.map_rows``, so
     every entry equals the scalar-gamma map of its own row bit for bit.
     """
     z = np.asarray(z, dtype=float)
     g = np.asarray(gamma, dtype=float)
-    if g.ndim == 0:
-        return table.map_row(int(table.index_of(g)), z)
-    if g.shape != z.shape:
+    if g.ndim and g.shape != z.shape:
         raise DimensionMismatch("gamma array must match z in shape")
     return table.map_rows(table.index_of(g), z)

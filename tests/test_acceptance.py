@@ -210,6 +210,7 @@ def test_03_kld_closed_form_for_shifted_normals():
     assert anchor == pytest.approx(8e-4, rel=0.02)
 
 
+@pytest.mark.slow
 def test_04_fast_quantile_map_accuracy_and_speed():
     """Tabulated correction map: 1e-3 accuracy over the full skewness sweep
     and at least a 5x mean speedup on a million mixed evaluations."""
@@ -233,7 +234,7 @@ def test_04_fast_quantile_map_accuracy_and_speed():
 def _unit_conditional(gamma, mutilde=0.2):
     return FullConditionalSGC(
         mu=[0.0], precision=PrecisionMatrix([[1.0]]),
-        mutilde=[mutilde], gamma=[gamma],
+        mutilde=[mutilde], gamma=[gamma], sigma=[1.0],
     )
 
 
@@ -260,9 +261,11 @@ def test_05_jacobian_and_density_self_consistency():
         mass = np.trapezoid(np.exp(log_density_sgc(fc, xs[:, None])), xs)
         assert mass == pytest.approx(1.0, abs=1e-4), f"g={gamma}"
 
+    q = np.array([[1.4, 0.5], [0.5, 1.1]])
+    sigma = np.sqrt(np.diag(np.linalg.inv(q)))
     skewed = FullConditionalSGC(
-        mu=[0.1, -0.3], precision=PrecisionMatrix([[1.4, 0.5], [0.5, 1.1]]),
-        mutilde=[0.35, -0.05], gamma=[0.45, -0.3],
+        mu=[0.1, -0.3], precision=PrecisionMatrix(q),
+        mutilde=[0.35, -0.05], gamma=[0.45, -0.3], sigma=sigma,
     )
     gap = log_density_improved_gaussian(skewed, skewed.mu, kind="none") - log_density_sgc(
         skewed, skewed.mu
@@ -270,14 +273,15 @@ def test_05_jacobian_and_density_self_consistency():
     assert correction_delta(skewed) == pytest.approx(gap, abs=1e-10)
 
     symmetric = FullConditionalSGC(
-        mu=[0.1, -0.3], precision=PrecisionMatrix([[1.4, 0.5], [0.5, 1.1]]),
-        mutilde=[0.35, -0.05], gamma=[0.0, 0.0],
+        mu=[0.1, -0.3], precision=PrecisionMatrix(q),
+        mutilde=[0.35, -0.05], gamma=[0.0, 0.0], sigma=sigma,
     )
     d = symmetric.mutilde - symmetric.mu
     quad = 0.5 * d @ symmetric.precision.matrix @ d
     assert correction_delta(symmetric) == pytest.approx(quad, abs=1e-10)
 
 
+@pytest.mark.slow
 def test_06_poisson_glmm_against_reference_sampler(poisson_study):
     """Grouped Poisson study: converged oracle, and on every clearly skewed
     component the skew correction beats the mean correction with a small
@@ -296,6 +300,7 @@ def test_06_poisson_glmm_against_reference_sampler(poisson_study):
     assert median <= 0.01, f"median KLD {median:.4f} over {len(rows)} components"
 
 
+@pytest.mark.slow
 def test_06_bernoulli_logit_against_reference_sampler(bernoulli_study):
     """Same gate on the Bernoulli-logit variant.
 
@@ -327,6 +332,7 @@ def test_06_bernoulli_logit_against_reference_sampler(bernoulli_study):
     )
 
 
+@pytest.mark.slow
 def test_07_deterministic_linear_combinations_vs_sampling(poisson_study):
     """Nested predictor sums: deterministic summaries track the 1e5-draw
     sampler to 5e-3 divergence and beat the 1e3-draw path by 100x."""
@@ -407,6 +413,7 @@ def test_08_gaussian_family_collapses_to_conjugate_posterior(gaussian_study):
     assert np.all(np.abs(draws.std(axis=0, ddof=1) - cf_sd) <= 3 * se_sd)
 
 
+@pytest.mark.slow
 def test_09_sampler_moments_match_mixture_identity(poisson_study):
     """First three sampler moments agree with the deterministic mixture
     moments within five standard errors on every latent component."""

@@ -5,6 +5,7 @@ import csv
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import sgcinla
-from sgcinla import engine, rng, sampler
+from sgcinla import cli, engine, rng, sampler
 from sgcinla.artifacts import SUMMARY_COLUMNS, RunManifest, load_fit
 from sgcinla.cli import main
 from sgcinla.errors import NoConvergence
@@ -152,6 +153,24 @@ def test_sample_missing_fit(tmp_path):
     assert main(["sample", "--out", str(tmp_path / "empty")]) == 4
 
 
+def _fail_if_called(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the flags were checked")
+
+    return fail
+
+
+def test_sample_refuses_too_few_draws_before_drawing(poisson_run, tmp_path, monkeypatch, capsys):
+    _, out = poisson_run
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copy(out / "fit.bin", run / "fit.bin")
+    monkeypatch.setattr(cli, "sample_joint", _fail_if_called("sample_joint"))
+    assert main(["sample", "--out", str(run), "--count", "50"]) == 2
+    assert f"at least {sampler.SUMMARY_MIN_DRAWS} draws" in capsys.readouterr().err
+    assert [p.name for p in run.iterdir()] == ["fit.bin"]
+
+
 def test_sample_rejects_unknown_kind(poisson_run):
     _, out = poisson_run
     with pytest.raises(SystemExit) as exc:
@@ -233,13 +252,15 @@ def test_lincomb_error_codes(poisson_run, tmp_path):
     )
     one = tmp_path / "one.csv"
     one.write_text("1\n")
+    fresh = tmp_path / "summary-run"
     assert (
         main(
-            ["lincomb", "--out", str(out), "--a-matrix", str(one),
+            ["lincomb", "--out", str(fresh), "--a-matrix", str(one),
              "--summary", str(summary), "--count", "100"]
         )
         == 2
     )
+    assert not list(fresh.glob("lincomb-*"))
 
 
 def test_lincomb_zero_row_exits_with_dimension_code(poisson_run, tmp_path, caplog):
@@ -299,6 +320,15 @@ def test_compare_mcmc_flags_unconverged_oracle(poisson_run):
     code = main(["compare-mcmc", "--out", str(out), "--chains", "2", "--burn", "100", "--keep", "800"])
     assert code == 6
     assert not (out / "compare-mcmc.csv").exists()
+
+
+def test_compare_mcmc_checks_flags_before_the_reference_run(poisson_run, monkeypatch, capsys):
+    _, out = poisson_run
+    monkeypatch.setattr(cli, "run_reference", _fail_if_called("run_reference"))
+    assert main(["compare-mcmc", "--out", str(out), "--count", "500"]) == 2
+    assert f"at least {sampler.DENSITY_MIN_DRAWS} draws" in capsys.readouterr().err
+    assert main(["compare-mcmc", "--out", str(out), "--chains", "1"]) == 2
+    assert "two chains" in capsys.readouterr().err
 
 
 def test_compare_mcmc_rejects_bad_components(poisson_run):

@@ -223,12 +223,13 @@ def test_log_hyper_posterior_matches_marginal_likelihood_per_theta():
         assert log_hyper_posterior(spec, [t]) == pytest.approx(oracle(t), abs=1e-6)
 
 
-def test_log_hyper_posterior_raises_without_convergence():
+def test_log_hyper_posterior_raises_without_convergence(monkeypatch):
     spec = poisson_one_node()
-    bad = gaussian_approximation(spec, max_iter=1, grad_tol=1e-300)
-    assert not bad.converged
+    monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(engine, "NEWTON_GRAD_TOL", 1e-300)
+    assert not gaussian_approximation(spec).converged
     with pytest.raises(NoConvergence):
-        log_hyper_posterior(spec, approx=bad)
+        log_hyper_posterior(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +466,7 @@ def test_refinement_tracks_poisson_quadrature():
     assert abs(ref.mean - m1) < 0.1 * abs(ga.mean[0] - m1)
 
 
-def _conditional_mode_factoring_every_step(
-    spec, q, i, value, x_start, max_iter=30, grad_tol=1e-8
-):
+def _conditional_mode_factoring_every_step(spec, q, i, value, x_start):
     """Reference copy of the conditional-mode loop that factors the reduced
     curvature twice on every step: a Cholesky (kept for the log-determinant)
     and an LU solve (for the Newton step), before testing the gradient."""
@@ -479,7 +478,7 @@ def _conditional_mode_factoring_every_step(
     x = np.array(x_start, dtype=float)
     x[i] = value
     value_obj, d1, d2 = engine._objective_terms(spec, x, q)
-    for _ in range(max_iter):
+    for _ in range(engine.CONDITIONAL_MAX_ITER):
         grad_full = -(q.matrix @ x)
         grad_full[:n] += d1
         grad = grad_full[mask]
@@ -492,12 +491,12 @@ def _conditional_mode_factoring_every_step(
             raise NoConvergence("reduced curvature not positive definite") from None
         step_sub = np.linalg.solve(h_sub, grad)
 
-        if np.max(np.abs(grad)) <= grad_tol:
+        if np.max(np.abs(grad)) <= engine.CONDITIONAL_GRAD_TOL:
             log_det = 2.0 * float(np.sum(np.log(np.diag(low))))
             return x, log_det, value_obj
 
         scale = 1.0
-        for _ in range(11):
+        for _ in range(engine.NEWTON_MAX_HALVINGS + 1):
             cand = x.copy()
             cand[mask] += scale * step_sub
             cand_value, cand_d1, cand_d2 = engine._objective_terms(spec, cand, q)
@@ -513,7 +512,7 @@ def test_conditional_mode_matches_per_step_factoring(monkeypatch):
     theta = explore_grid(spec)[0].theta
     ga = gaussian_approximation(spec, theta)
     q, mu, sd = ga.prior_precision, ga.mean, ga.marginal_sd()
-    max_iter = 30
+    max_iter = engine.CONDITIONAL_MAX_ITER
 
     calls = {"cholesky": 0, "solve": 0}
 
@@ -532,7 +531,7 @@ def test_conditional_mode_matches_per_step_factoring(monkeypatch):
     def run(search, i, value):
         calls.update(cholesky=0, solve=0)
         try:
-            out = search(spec, q, i, value, mu, max_iter=max_iter)
+            out = search(spec, q, i, value, mu)
         except NoConvergence:
             out = None
         return out, dict(calls)

@@ -1,5 +1,6 @@
 """Mixture sampling over the hyperparameter grid and posterior summaries."""
 
+import dataclasses
 import gc
 import mmap
 import multiprocessing
@@ -16,6 +17,7 @@ from scipy.interpolate import PchipInterpolator, PPoly
 from sgcinla import parallel, rng, sampler
 from sgcinla.engine import fit_model
 from sgcinla.errors import IndexOutOfRange, InsufficientSamples
+from sgcinla.gmrf import LinearConstraint
 from sgcinla.lincomb import kld_1d
 from sgcinla.model import ModelSpec, make_family
 from sgcinla.sampler import (
@@ -107,6 +109,27 @@ def test_gaussian_family_skew_equals_mean_bitwise(gaussian_fit):
     assert np.array_equal(a.draws, b.draws)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "known defect: a hard constraint holds only at the Newton modes.  The draws "
+        "come from the unconstrained Gaussian approximation, so sum_to_zero fails "
+        "by an sd of about 2 on this fit (ROADMAP open item)"
+    ),
+)
+def test_constrained_fit_draws_meet_the_constraint():
+    gen = rng.stream(17)
+    grp = np.repeat(np.arange(5), 4)
+    y = gen.poisson(np.exp(0.3 + 0.9 * gen.normal(size=5)[grp])).astype(float)
+    spec = ModelSpec(make_family("poisson"), y=y, group=grp, tau_beta=0.5, re_prior=(1.0, 1.0))
+    row = np.zeros((1, spec.n_latent))
+    row[0, spec.n_obs + spec.n_fixed :] = 1.0
+    con = LinearConstraint(row, np.zeros(1))
+    fit = fit_model(dataclasses.replace(spec, constraints=(con,)))
+    draws = sample_joint(fit, 2000, seed=1, kind="none").draws
+    assert np.max(np.abs(draws @ con.C.T - con.e)) <= 1e-9
+
+
 def test_summarize_matches_numpy_quantiles(poisson_fit):
     js = sample_joint(poisson_fit, 5000, seed=13)
     s = summarize(js)
@@ -144,13 +167,13 @@ def _as_samples(draws: np.ndarray) -> JointSamples:
     return JointSamples(draws=draws, config=config, names=names, kind=CorrectionKind.SKEW, seed=0)
 
 
-def _scipy_mode(x: np.ndarray, points: int = 512) -> float:
+def _scipy_mode(x: np.ndarray) -> float:
     """The summary mode as scipy's kernel density locates it."""
     lo, hi = float(np.min(x)), float(np.max(x))
     if hi == lo:
         return lo
     pad = 0.05 * (hi - lo)
-    grid = np.linspace(lo - pad, hi + pad, points)
+    grid = np.linspace(lo - pad, hi + pad, sampler.KDE_MODE_POINTS)
     return float(grid[np.argmax(stats.gaussian_kde(x, bw_method="silverman")(grid))])
 
 

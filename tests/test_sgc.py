@@ -24,25 +24,23 @@ from sgcinla.sgc import (
 from sgcinla.skewnormal import sn_cdf, sn_params_from_moments, sn_pdf, standardized_map_direct
 
 
-def make_pair():
-    """2-D correlated target with opposite marginal skews."""
-    q = np.linalg.inv(np.array([[2.0, -0.9], [-0.9, 1.5]]))
+# covariance of the 2-D fixtures; the precision is its inverse
+PAIR_COV = np.array([[2.0, -0.9], [-0.9, 1.5]])
+
+
+def make_pair(gamma=(0.6, -0.6)):
+    """2-D correlated target, by default with opposite marginal skews."""
     return FullConditionalSGC(
         mu=[1.0, -0.5],
-        precision=PrecisionMatrix(q),
+        precision=PrecisionMatrix(np.linalg.inv(PAIR_COV)),
         mutilde=[1.2, -0.4],
-        gamma=[0.6, -0.6],
+        gamma=list(gamma),
+        sigma=np.sqrt(np.diag(PAIR_COV)),
     )
 
 
 def make_pair_symmetric():
-    q = np.linalg.inv(np.array([[2.0, -0.9], [-0.9, 1.5]]))
-    return FullConditionalSGC(
-        mu=[1.0, -0.5],
-        precision=PrecisionMatrix(q),
-        mutilde=[1.2, -0.4],
-        gamma=[0.0, 0.0],
-    )
+    return make_pair(gamma=(0.0, 0.0))
 
 
 def test_kind_parsing():
@@ -50,12 +48,6 @@ def test_kind_parsing():
     assert as_kind(CorrectionKind.MEAN) is CorrectionKind.MEAN
     with pytest.raises(InvalidSpec):
         as_kind("median")
-
-
-def test_sigma_recovered_from_precision():
-    fc = make_pair()
-    cov = np.array([[2.0, -0.9], [-0.9, 1.5]])
-    np.testing.assert_allclose(fc.sigma, np.sqrt(np.diag(cov)), rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -66,7 +58,7 @@ def test_sigma_recovered_from_precision():
 def test_nan_margin_rejected(field, error):
     margins = dict(
         mu=[1.0, -0.5],
-        precision=PrecisionMatrix(np.linalg.inv(np.array([[2.0, -0.9], [-0.9, 1.5]]))),
+        precision=PrecisionMatrix(np.linalg.inv(PAIR_COV)),
         mutilde=[1.2, -0.4],
         gamma=[0.6, -0.6],
         sigma=[1.4, 1.2],
@@ -94,9 +86,8 @@ def test_forward_mean_is_exact_shift():
 
 def test_forward_skew_single_coordinate_matches_manual_map():
     fc = FullConditionalSGC(
-        mu=[0.5], precision=PrecisionMatrix([[0.25]]), mutilde=[0.9], gamma=[0.3]
+        mu=[0.5], precision=PrecisionMatrix([[0.25]]), mutilde=[0.9], gamma=[0.3], sigma=[2.0]
     )
-    assert fc.sigma[0] == pytest.approx(2.0, rel=1e-12)
     direct = forward_transform(fc, np.array([1.7]), use_table=False)[0]
     manual = 0.9 + 2.0 * standardized_map_direct(0.3, (1.7 - 0.5) / 2.0)
     assert direct == manual
@@ -196,6 +187,7 @@ def test_log_density_hand_value():
         precision=PrecisionMatrix(np.eye(2)),
         mutilde=[0.0, 0.0],
         gamma=[0.0, 0.0],
+        sigma=[1.0, 1.0],
     )
     val = log_density_improved_gaussian(fc, np.array([1.0, 2.0]))
     assert val == pytest.approx(-np.log(2 * np.pi) - 2.5, abs=1e-12)
@@ -203,7 +195,7 @@ def test_log_density_hand_value():
 
 def test_log_density_one_margin_equals_skew_normal():
     fc = FullConditionalSGC(
-        mu=[0.5], precision=PrecisionMatrix([[0.25]]), mutilde=[0.9], gamma=[0.3]
+        mu=[0.5], precision=PrecisionMatrix([[0.25]]), mutilde=[0.9], gamma=[0.3], sigma=[2.0]
     )
     params = sn_params_from_moments(0.9, 4.0, 0.3)
     for u in (-2.0, 0.9, 3.5):
@@ -264,11 +256,8 @@ def test_sampling_mean_kind_recenters_only():
 
 
 def test_skew_degenerates_to_mean_bitwise():
-    q = np.linalg.inv(np.array([[2.0, -0.9], [-0.9, 1.5]]))
     for gamma in ([0.0, 0.0], [1e-4, -2e-3]):  # exact zero and rounds-to-zero
-        fc = FullConditionalSGC(
-            mu=[1.0, -0.5], precision=PrecisionMatrix(q), mutilde=[1.2, -0.4], gamma=gamma
-        )
+        fc = make_pair(gamma)
         a = sample_full_conditional(fc, 1000, seed=7, kind="mean")
         b = sample_full_conditional(fc, 1000, seed=7, kind="skew")
         assert np.array_equal(a, b)

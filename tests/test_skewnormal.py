@@ -29,8 +29,8 @@ from sgcinla.skewnormal import (
     _BRACKET_LEVEL,
     GAMMA_ATTAINABLE,
     QuantileTable,
+    TABLE_Z_NODES,
     SkewNormalParams,
-    _default_nodes,
     default_table,
     sn_moments_from_params,
     standardized_params,
@@ -324,7 +324,7 @@ def test_table_is_unchanged_by_lookups():
     before = pickle.dumps(fresh)
     z = np.linspace(-7.0, 7.0, 29)
     for idx in range(fresh.values.shape[0]):
-        fresh.map_row(idx, z)
+        fresh.map_rows(idx, z)
     fast_map(fresh, np.tile(z, 3), np.repeat([-0.5, 0.0, 0.31], z.size))
     assert pickle.dumps(fresh) == before
 
@@ -336,18 +336,37 @@ def test_fast_map_reproducible(table):
     assert np.array_equal(a, b)
 
 
-def test_custom_table_build_consistent_with_default():
-    small = QuantileTable.build(gamma_step=0.01, gamma_max=0.03, z_max=6.0, n_nodes=61)
+def _patch_layout(monkeypatch, gamma_step, gamma_max, nodes):
+    """Make QuantileTable.build lay out its table with these settings."""
+    monkeypatch.setattr(skewnormal, "TABLE_GAMMA_STEP", gamma_step)
+    monkeypatch.setattr(skewnormal, "GAMMA_CLAMP", gamma_max)
+    monkeypatch.setattr(skewnormal, "TABLE_Z_NODES", nodes)
+
+
+def test_custom_table_build_consistent_with_default(monkeypatch):
+    _patch_layout(monkeypatch, 0.01, 0.03, TABLE_Z_NODES)
+    small = QuantileTable.build()
     assert small.values.shape == (7, 61)
     z = np.linspace(-3, 3, 11)
     ref = standardized_map_direct(0.03, z)
-    assert np.max(np.abs(small.map_row(6, z) - ref)) < 1e-3
+    assert np.max(np.abs(small.map_rows(6, z) - ref)) < 1e-3
 
 
-def _build_per_row(gamma_step=0.01, gamma_max=0.99, z_max=6.0, n_nodes=61):
+def _nodes(core: int, tail) -> np.ndarray:
+    """``core`` equispaced nodes on [-3.5, 3.5] between the mirrored ``tail``
+    nodes, the layout of TABLE_Z_NODES."""
+    tail = np.asarray(tail, dtype=float)
+    return np.concatenate([-tail[::-1], np.linspace(-3.5, 3.5, core), tail])
+
+
+def test_default_nodes_layout():
+    assert np.array_equal(TABLE_Z_NODES, _nodes(55, [4.0, 5.0, 6.0]))
+    assert not TABLE_Z_NODES.flags.writeable
+
+
+def _build_per_row(gamma_step=0.01, gamma_max=0.99, nodes=TABLE_Z_NODES):
     """The table as one exact solve per row computes it: the reference build."""
     half = int(round(gamma_max / gamma_step))
-    nodes = _default_nodes(z_max, n_nodes)
     values = np.empty((2 * half + 1, nodes.size))
     for i in range(-half, half + 1):
         g = i * gamma_step
@@ -363,20 +382,17 @@ def test_default_table_equals_per_row_solves(table):
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [(0.05, 0.95, 5.0, 41), (0.02, 0.98, 8.0, 101), (0.01, 0.0, 6.0, 61)],
+    "layout",
+    [
+        (0.05, 0.95, _nodes(37, [4.0, 5.0])),
+        (0.02, 0.98, _nodes(93, [4.0, 5.0, 6.0, 8.0])),
+        (0.01, 0.0, TABLE_Z_NODES),
+    ],
     ids=["coarse", "extra-tail-node", "identity-only"],
 )
-def test_custom_table_equals_per_row_solves(spec):
-    built = QuantileTable.build(*spec)
-    if spec[2] > 6.0:
-        assert built.z_nodes[-1] == spec[2] and built.z_nodes[-2] == 6.0
-    assert np.array_equal(built.values, _build_per_row(*spec))
-
-
-def test_table_build_rejects_unattainable_skewness():
-    with pytest.raises(SkewnessOutOfRange):
-        QuantileTable.build(gamma_step=0.5, gamma_max=1.0)
+def test_custom_table_equals_per_row_solves(layout, monkeypatch):
+    _patch_layout(monkeypatch, *layout)
+    assert np.array_equal(QuantileTable.build().values, _build_per_row(*layout))
 
 
 # Its moments, computed on arrays, round differently from the scalar moment
@@ -477,11 +493,12 @@ def _adversarial_points(table):
     ])
 
 
+# (gamma step, largest gamma, nodes) of the extra tables the kernel is checked on
 _KERNEL_TABLES = {
-    "coarse-step": dict(gamma_step=0.05, gamma_max=0.95),
-    "extra-tail-node": dict(z_max=8.0),
-    "101-nodes": dict(n_nodes=101),
-    "identity-only": dict(gamma_max=0.0),
+    "coarse-step": (0.05, 0.95, TABLE_Z_NODES),
+    "extra-tail-node": (0.01, 0.99, _nodes(53, [4.0, 5.0, 6.0, 8.0])),
+    "101-nodes": (0.01, 0.99, _nodes(95, [4.0, 5.0, 6.0])),
+    "identity-only": (0.01, 0.0, TABLE_Z_NODES),
 }
 
 
@@ -489,14 +506,15 @@ _KERNEL_TABLES = {
 def any_table(request, table):
     if request.param == "default":
         return table
-    return QuantileTable.build(**_KERNEL_TABLES[request.param])
+    step, gamma_max, nodes = _KERNEL_TABLES[request.param]
+    return QuantileTable(step, nodes, _build_per_row(step, gamma_max, nodes))
 
 
 def test_kernel_rows_equal_ppoly_bit_for_bit(any_table):
     z = _adversarial_points(any_table)
     for idx in range(any_table.values.shape[0]):
         expected = z if idx == any_table._half else _ppoly_row(any_table, idx, z)
-        assert _same_bits(any_table.map_row(idx, z), expected), idx
+        assert _same_bits(any_table.map_rows(idx, z), expected), idx
 
 
 def test_kernel_per_element_rows_equal_ppoly(any_table):
@@ -526,8 +544,8 @@ def test_kernel_starts_its_sum_from_positive_zero():
     values = np.array([[-2.0, -0.0, 0.1, 5.1], [-1.0, 0.0, 1.0, 2.0], [-1.5, 0.5, 2.0, 3.0]])
     custom = QuantileTable(0.01, nodes, values)
     z = np.array([-0.0, 0.0, -1e-300, 1e-300])
-    assert _same_bits(custom.map_row(0, z), _ppoly_row(custom, 0, z))
-    assert not np.signbit(custom.map_row(0, z)[0])
+    assert _same_bits(custom.map_rows(0, z), _ppoly_row(custom, 0, z))
+    assert not np.signbit(custom.map_rows(0, z)[0])
 
 
 def test_kernel_slices_long_inputs_alike(table, monkeypatch):
