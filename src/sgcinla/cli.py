@@ -95,10 +95,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _check_count(count: int, least: int, need: str) -> None:
-    """Refuse a ``--count`` below ``least`` draws before any work is done."""
+def _check_count(flag: str, count: int, least: int, need: str) -> None:
+    """Refuse a count flag below ``least`` before any work is done."""
     if count < least:
-        raise InvalidSpec(f"--count {count}: at least {least} draws needed for {need}")
+        raise InvalidSpec(f"{flag} {count}: at least {least} {need}")
 
 
 def _manifest(args, command: str, count: int = 0, kind: str = "") -> artifacts.RunManifest:
@@ -137,7 +137,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _check_count(args.count, sampler.SUMMARY_MIN_DRAWS, "summaries")
+    _check_count("--count", args.count, sampler.SUMMARY_MIN_DRAWS, "draws needed for summaries")
     out = _out_dir(args)
     fit = artifacts.load_fit(out / FIT_FILENAME)
     kind = as_kind(args.kind)
@@ -187,6 +187,7 @@ def _write_lincomb_outputs(out: Path, joint) -> list:
 
 
 def cmd_lincomb(args) -> int:
+    _check_count("--count", args.count, 0, "draws")
     if args.summary and args.count:
         raise InvalidSpec("sampling mode (--count) needs a fit artifact, not --summary")
     a = artifacts.read_a_matrix(args.a_matrix)
@@ -247,7 +248,9 @@ def _parse_components(text, fit) -> list[int]:
 
 
 def cmd_compare_mcmc(args) -> int:
-    _check_count(args.count, sampler.DENSITY_MIN_DRAWS, "density estimates")
+    _check_count(
+        "--count", args.count, sampler.DENSITY_MIN_DRAWS, "draws needed for density estimates"
+    )
     try:
         chain_config = ChainConfig(chains=args.chains, burn=args.burn, keep=args.keep)
     except ValueError as err:
@@ -407,6 +410,8 @@ def run_quantile_benchmark(points: int, reps: int, seed: int) -> BenchReport:
 
 
 def cmd_bench_quantile(args) -> int:
+    _check_count("--points", args.points, 1, "point to time")
+    _check_count("--reps", args.reps, 1, "replication to time")
     report = run_quantile_benchmark(points=args.points, reps=args.reps, seed=args.seed)
     print(f"bench-quantile: {report.points} points, {report.reps} replications")
     print(f"{'function':<10}{'path':<8}{'min_ms':>10}{'mean_ms':>10}{'max_ms':>10}{'max_err':>12}")

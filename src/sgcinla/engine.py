@@ -469,7 +469,13 @@ class FitResult:
         return np.array([pt.weight for pt in self.grid])
 
     def covariance_stack(self) -> np.ndarray:
-        """(K, N, N) dense covariances of all grid configurations, cached."""
+        """(K, N, N) dense covariances of all grid configurations, cached.
+
+        No package path builds this stack: ``lincomb`` reads the covariances
+        one configuration at a time from each ``GaussianApprox.covariance()``
+        and mixes them as they arrive.  It stays for callers that want every
+        configuration at once, such as the benchmark's traced lincomb span.
+        """
         if self._covariance_stack is None:
             self._covariance_stack = np.stack([ga.covariance() for ga in self.approximations])
         return self._covariance_stack

@@ -51,16 +51,28 @@ class JointMomentSummary:
 def _mix_moments(weights, means, covs, thirds):
     """Moments of a mixture from per-configuration moments.
 
-    ``means`` is (K, p), ``covs`` (K, p, p) and ``thirds`` (K, p) holding
-    central third moments per coordinate.  Returns mixture mean, covariance
-    (law of total covariance) and central third moments per coordinate.
+    ``means`` is (K, p) and ``thirds`` (K, p) holding central third moments
+    per coordinate.  ``covs`` is an iterable of the K (p, p) covariances:
+    they arrive one configuration at a time, in grid order, and are folded
+    into one running within-configuration sum, so working memory is O(p^2)
+    whatever K is; no (K, p, p) stack is built.  Returns mixture mean,
+    covariance (law of total covariance) and central third moments per
+    coordinate.  Each sum starts from zero and adds the configurations in
+    grid order, as ``np.einsum`` over the stacked arrays does, so every
+    result equals the stacked formula bit for bit.
     """
     w = np.asarray(weights, dtype=float)
     means = np.asarray(means, dtype=float)
     mean = w @ means
     dev = means - mean
-    cov = np.einsum("k,kij->ij", w, covs) + np.einsum("k,ki,kj->ij", w, dev, dev)
-    var_k = np.einsum("kii->ki", np.asarray(covs, dtype=float))
+    cov = np.zeros((mean.size, mean.size))
+    var_k = np.empty_like(dev)
+    # enumerate alone, not over zip(w, covs): zip's cached result tuple would
+    # hold one more (p, p) array while the next configuration is formed
+    for k, cov_k in enumerate(covs):
+        var_k[k] = np.diagonal(cov_k)
+        cov += w[k] * cov_k
+    cov += np.einsum("k,ki,kj->ij", w, dev, dev)
     third = w @ (thirds + 3.0 * dev * var_k + dev**3)
     return mean, cov, third
 
@@ -140,7 +152,10 @@ def linear_combination_summary(fit: FitResult, a, names=None) -> JointMomentSumm
     The transform is applied inside each grid configuration (where the
     covariance and skewness are defined) and the results are mixed with the
     grid weights, so hyperparameter uncertainty enters through both the
-    spread of the per-configuration means and their covariances.
+    spread of the per-configuration means and their covariances.  Each
+    configuration's A Sigma A' is formed from the covariance its Gaussian
+    approximation caches and mixed before the next is formed, so working
+    memory is O(M^2 + N M) for M rows, not K times that.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     n = fit.mutilde.shape[1]
@@ -150,7 +165,7 @@ def linear_combination_summary(fit: FitResult, a, names=None) -> JointMomentSumm
     return _joint_summary(
         fit.weights,
         fit.mutilde @ a.T,
-        a @ (fit.covariance_stack() @ a.T),
+        (a @ (ga.covariance() @ a.T) for ga in fit.approximations),
         (fit.gamma * fit.sigma**3) @ (a**3).T,
         names,
     )

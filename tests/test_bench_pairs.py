@@ -120,3 +120,23 @@ def test_verdicts_without_a_claim(tmp_path):
         np.array(parent_setup), np.array([1.5, 1.9, 1.8]), {"better": "lower", "bound": 0.25}
     )
     assert verdict["verdict"] == "ok"
+
+
+@pytest.mark.parametrize("claim", [
+    "fit-61:op_s",  # a workload perfbench runs, but not one BENCHMARK.json lists
+    "draws-61",
+    "draws-61:op_s:extra",
+    "draws-61:speed",
+    "scale-241:op_s",  # listed, but no pair of runs
+])
+def test_claim_must_name_a_paired_workload_and_metric(tmp_path, claim):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    _write_run(parent, "draws-61", 11, 0.6, 10, "p")
+    _write_run(change, "draws-61", 11, 0.5, 20, "c")
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(parent), str(change), "--claim", claim, "--out", str(out)])
+    assert str(exc.value.code).startswith("error:")
+    assert not out.exists()

@@ -263,6 +263,21 @@ def test_lincomb_error_codes(poisson_run, tmp_path):
     assert not list(fresh.glob("lincomb-*"))
 
 
+def test_lincomb_refuses_a_negative_count_before_writing(poisson_run, tmp_path, monkeypatch, capsys):
+    _, out = poisson_run
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copy(out / "fit.bin", run / "fit.bin")
+    weights = tmp_path / "w.csv"
+    np.savetxt(weights, np.eye(37)[[30]], delimiter=",")
+    monkeypatch.setattr(
+        cli, "linear_combination_summary", _fail_if_called("linear_combination_summary")
+    )
+    assert main(["lincomb", "--out", str(run), "--a-matrix", str(weights), "--count", "-3"]) == 2
+    assert "--count -3: at least 0 draws" in capsys.readouterr().err
+    assert [p.name for p in run.iterdir()] == ["fit.bin"]
+
+
 def test_lincomb_zero_row_exits_with_dimension_code(poisson_run, tmp_path, caplog):
     _, out = poisson_run
     weights = tmp_path / "zero.csv"
@@ -354,6 +369,13 @@ def test_bench_quantile_report(tmp_path, capsys):
         assert float(row["max_abs_err"]) <= 1e-3
         assert float(row["min_ms"]) <= float(row["mean_ms"]) <= float(row["max_ms"])
     assert "speedup" in capsys.readouterr().out
+
+
+def test_bench_quantile_refuses_nothing_to_time(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_quantile_benchmark", _fail_if_called("run_quantile_benchmark"))
+    for flag in ("--reps", "--points"):
+        assert main(["bench-quantile", flag, "0"]) == 2
+        assert f"{flag} 0: at least 1 " in capsys.readouterr().err
 
 
 def test_bench_quantile_rerun_stability():

@@ -1,6 +1,7 @@
 """Deterministic joint summaries and linear combinations."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from sgcinla.lincomb import (
 )
 from sgcinla.model import ModelSpec, make_family
 from sgcinla.sampler import sample_joint
-from sgcinla.skewnormal import sn_moments_from_params
+from sgcinla.skewnormal import GAMMA_CLAMP, sn_moments_from_params
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +162,47 @@ def test_combination_matches_sampled_moments(poisson_fit):
     np.testing.assert_allclose(h.var(axis=0, ddof=1), np.diag(det.cov), rtol=0.05)
     np.testing.assert_allclose(stats.skew(h, axis=0), det.skewness, atol=0.06)
     assert np.cov(h.T)[0, 1] == pytest.approx(det.cov[0, 1], rel=0.1)
+
+
+@pytest.fixture(scope="module")
+def poisson_61_fit():
+    """The N=61 Poisson random-intercept fixture of the acceptance tests,
+    refined at two observations, the intercept and one group effect."""
+    gen = rng.stream(51)
+    grp = np.repeat(np.arange(10), 5)
+    u = gen.normal(size=10) * 1.5
+    y = gen.poisson(np.exp(u[grp])).astype(float)
+    spec = ModelSpec(make_family("poisson"), y=y, group=grp, tau_beta=0.5, re_prior=(1.0, 0.5))
+    return fit_model(spec, components=np.array([0, 1, 50, 51]))
+
+
+def test_combination_mixes_one_configuration_at_a_time(poisson_61_fit):
+    fit = poisson_61_fit
+    m = 600
+    a = np.random.default_rng(15).normal(size=(m, fit.mutilde.shape[1]))
+    tracemalloc.start()
+    try:
+        got = linear_combination_summary(fit, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # stacking all K = 6 configurations' (N, M) and (M, M) products peaked
+    # at 23.5 MB (8.2 M^2 doubles); one at a time it is about 3.2 M^2
+    assert peak < 4 * m * m * 8
+
+    # the stacked formula, evaluated here from the (K, N, N) covariances
+    w = fit.weights
+    means = fit.mutilde @ a.T
+    covs = a @ (fit.covariance_stack() @ a.T)
+    thirds = (fit.gamma * fit.sigma**3) @ (a**3).T
+    mean = w @ means
+    dev = means - mean
+    cov = np.einsum("k,kij->ij", w, covs) + np.einsum("k,ki,kj->ij", w, dev, dev)
+    third = w @ (thirds + 3.0 * dev * np.einsum("kii->ki", covs) + dev**3)
+    skewness = np.clip(third / np.diag(cov) ** 1.5, -GAMMA_CLAMP, GAMMA_CLAMP)
+    assert np.array_equal(got.mean, mean)
+    assert np.array_equal(got.cov, cov)
+    assert np.array_equal(got.skewness, skewness)
 
 
 def test_marginal_curves_match_their_moments(poisson_fit):

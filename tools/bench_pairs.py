@@ -14,13 +14,15 @@ A pair's ``first`` names the side whose result file was written first.
 Medians and quartiles are ``numpy.percentile`` with linear interpolation.
 The claim is met when the change is better in at least nine tenths of the
 pairs, ties counting for neither side, and the medians differ by more than
-the parent's interquartile range.  Without ``--claim`` the record says
-``"claimed": null``.  Every metric of every workload also gets the relative
-change of the medians, its BENCHMARK.json bound and a verdict: ``worse``
-when the change's median is worse than the parent's by more than the bound,
-``unresolved`` when the parent's interquartile range over its median
-exceeds the bound and not every change run beats every parent run, ``ok``
-otherwise.  Traced runs (``--trace 1``), when both sides have one for a
+the parent's interquartile range.  A claim that is not ``WORKLOAD:METRIC``
+with a BENCHMARK.json workload and end-to-end metric, or whose workload has
+no pair of runs, is refused with an error exit and no record.  Without
+``--claim`` the record says ``"claimed": null``.  Every metric of every
+workload also gets the relative change of the medians, its BENCHMARK.json
+bound and a verdict: ``worse`` when the change's median is worse than the
+parent's by more than the bound, ``unresolved`` when the parent's
+interquartile range over its median exceeds the bound and not every change
+run beats every parent run, ``ok`` otherwise.  Traced runs (``--trace 1``), when both sides have one for a
 workload and seed, are copied under ``traced``.
 """
 
@@ -127,7 +129,11 @@ def build(parent_dir, change_dir, claim=None, held_out=(), change="", hardware="
     end_to_end = spec["end_to_end"]
     by_name = {m["name"]: m for m in end_to_end}
     if claim:
+        if claim.count(":") != 1:
+            raise SystemExit(f"error: --claim {claim!r} is not WORKLOAD:METRIC")
         claim_workload, claim_metric = claim.split(":")
+        if claim_workload not in {w["name"] for w in spec["workloads"]}:
+            raise SystemExit(f"error: {claim_workload} is not a BENCHMARK.json workload")
         if claim_metric not in by_name:
             raise SystemExit(f"error: {claim_metric} is not an end-to-end metric")
     runs = dict(zip(SIDES, (load_runs(parent_dir, 0), load_runs(change_dir, 0))))
@@ -154,8 +160,10 @@ def build(parent_dir, change_dir, claim=None, held_out=(), change="", hardware="
 
     claimed = None
     if claim:
-        claimed = {"workload": claim_workload, "metric": claim_metric}
         entry = workloads.get(claim_workload, {})
+        if "pairs" not in entry:
+            raise SystemExit(f"error: the claimed workload {claim_workload} has no pair of runs")
+        claimed = {"workload": claim_workload, "metric": claim_metric}
         for group in ("pairs", "held_out_pairs"):
             if group in entry:
                 claimed[group] = claim_verdict(
