@@ -56,7 +56,6 @@ from .sgc import (  # noqa: F401
     correction_delta,
     jacobian_terms,
     log_density_sgc,
-    sample_full_conditional,
 )
 from .engine import (  # noqa: F401
     FitResult,

@@ -280,6 +280,16 @@ def cmd_compare_mcmc(args) -> int:
     skew_samples = sample_joint(fit, args.count, args.seed, kind=CorrectionKind.SKEW)
     weighted_gamma = fit.weights @ fit.gamma
 
+    def curves(i: int, xs: np.ndarray) -> tuple:
+        """The grid and the oracle, mean, skew and refined densities on it."""
+        return (
+            xs,
+            kernel_density(latent[:, i], xs),
+            marginal_density_estimate(mean_samples, i, xs),
+            marginal_density_estimate(skew_samples, i, xs),
+            fit.marginal_density(i, xs),
+        )
+
     header = ("x", "mcmc", "mean_corrected", "skew_corrected", "refined")
     rows = []
     for i in indices:
@@ -288,28 +298,13 @@ def cmd_compare_mcmc(args) -> int:
         sets = (oracle, mean_samples.draws[:, i], skew_samples.draws[:, i])
         lo = min(np.quantile(s, 0.001) for s in sets)
         hi = max(np.quantile(s, 0.999) for s in sets)
-        xs = np.linspace(lo, hi, 401)
-
-        curve_oracle = kernel_density(oracle, xs)
-        curve_mean = marginal_density_estimate(mean_samples, i, xs)
-        curve_skew = marginal_density_estimate(skew_samples, i, xs)
-        curve_refined = fit.marginal_density(i, xs)
-        curves = (xs, curve_oracle, curve_mean, curve_skew, curve_refined)
-        artifacts.write_csv(out / f"curves-{name}.csv", header, np.column_stack(curves).tolist())
+        plot = curves(i, np.linspace(lo, hi, 401))
+        artifacts.write_csv(out / f"curves-{name}.csv", header, np.column_stack(plot).tolist())
         # upper-tail focus window
-        t_lo, t_hi = np.quantile(oracle, (0.90, 0.999))
-        txs = np.linspace(t_lo, t_hi, 101)
-        tail = (
-            txs,
-            kernel_density(oracle, txs),
-            marginal_density_estimate(mean_samples, i, txs),
-            marginal_density_estimate(skew_samples, i, txs),
-            fit.marginal_density(i, txs),
-        )
+        tail = curves(i, np.linspace(*np.quantile(oracle, (0.90, 0.999)), 101))
         artifacts.write_csv(out / f"tail-{name}.csv", header, np.column_stack(tail).tolist())
-        kld_mean = kld_1d(xs, curve_oracle, curve_mean)
-        kld_skew = kld_1d(xs, curve_oracle, curve_skew)
-        kld_refined = kld_1d(xs, curve_oracle, curve_refined)
+        xs, curve_oracle = plot[:2]
+        kld_mean, kld_skew, kld_refined = (kld_1d(xs, curve_oracle, c) for c in plot[2:])
         rows.append((i, name, weighted_gamma[i], kld_mean, kld_skew, kld_refined))
         print(
             f"compare-mcmc: {name} gamma={weighted_gamma[i]:+.3f} "
@@ -458,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a model config and persist the result")
     p_fit.add_argument("--config", required=True, help="model config JSON")
     p_fit.add_argument("--out", required=True, help="output directory")
-    p_fit.add_argument("--seed", type=int, default=0)
     p_fit.set_defaults(func=cmd_fit)
 
     p_sample = sub.add_parser("sample", help="draw corrected joint samples from a fit")

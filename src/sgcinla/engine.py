@@ -102,7 +102,7 @@ def _combined_constraint(spec: ModelSpec) -> LinearConstraint | None:
 def _objective_terms(spec: ModelSpec, x: np.ndarray, q: PrecisionMatrix, fac=None):
     """Unnormalized log joint in x: -x'Qx/2 + sum loglik, plus derivatives."""
     eta = x[: spec.n_obs]
-    ll, d1, d2, _ = spec.family.loglik(spec.y, eta, spec.trials)
+    ll, d1, d2 = spec.family.loglik(spec.y, eta, spec.trials)
     quad = fac.quad_form(x) if fac is not None else float(x @ q.matrix @ x)
     value = -0.5 * quad + float(np.sum(ll))
     return value, d1, d2

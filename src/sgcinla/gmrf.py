@@ -221,12 +221,12 @@ def apply_constraints(x: np.ndarray, q: PrecisionMatrix, con: LinearConstraint) 
 
 
 # Rows per block of Gaussian draws under a one-thread BLAS: a block of normals
-# and its solve stay in the per-core cache, and a sampler maps each block
-# while it is still there.  A multi-threaded BLAS solves all rows at once:
-# each block's solve waits for every BLAS thread, and with the default two
-# threads and the second of two cores busy, 1e5 draws at N=61 took 0.48 s
-# in blocks against 0.25 s in one solve.  Samplers still map the rows of
-# one solve in blocks of this size.
+# and its solve stay in the per-core cache, and sampler.sample_joint corrects
+# each block while it is still there.  A multi-threaded BLAS solves all rows
+# at once: each block's solve waits for every BLAS thread, and with the
+# default two threads and the second of two cores busy, 1e5 draws at N=61
+# took 0.48 s in blocks against 0.25 s in one solve.  sample_joint still
+# corrects the rows of one solve in blocks of this size.
 _BLOCK_ROWS = 512
 
 

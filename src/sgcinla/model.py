@@ -13,9 +13,9 @@ latent vector is ordered
     x = (eta_1 .. eta_n, intercept, fixed effects, u_1 .. u_m)
 
 and its prior precision matrix is assembled blockwise from the same
-quadratic form.  Likelihoods expose log density values together with first,
-second and third derivatives in eta, which the Gaussian approximation and
-the marginal refinements consume.
+quadratic form.  Likelihoods expose log density values together with first
+and second derivatives in eta, which the Gaussian approximation and the
+marginal refinements consume.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import expit, gammaln
 
 from .errors import DimensionMismatch, DomainError, InvalidSpec
-from .gmrf import _LOG_2PI, LinearConstraint, PrecisionMatrix
+from .gmrf import _LOG_2PI, PrecisionMatrix
 
 #: Default predictor-noise precision exp(15); large enough that the jitter is
 #: negligible against any realistic posterior scale, small enough that the
@@ -52,8 +52,7 @@ class GaussianLikelihood:
         ll = 0.5 * (np.log(self.tau) - _LOG_2PI) - 0.5 * self.tau * resid**2
         d1 = self.tau * resid
         d2 = np.full_like(eta, -self.tau)
-        d3 = np.zeros_like(eta)
-        return ll, d1, d2, d3
+        return ll, d1, d2
 
 
 class PoissonLikelihood:
@@ -69,8 +68,7 @@ class PoissonLikelihood:
         rate = np.exp(eta)
         ll = y * eta - rate - gammaln(y + 1.0)
         d1 = y - rate
-        # second and third derivative coincide for the log link
-        return ll, d1, -rate, -rate
+        return ll, d1, -rate
 
 
 class BinomialLikelihood:
@@ -98,8 +96,7 @@ class BinomialLikelihood:
         pq = p * (1.0 - p)
         d1 = y - m * p
         d2 = -m * pq
-        d3 = -m * pq * (1.0 - 2.0 * p)
-        return ll, d1, d2, d3
+        return ll, d1, d2
 
 
 _FAMILIES = {

@@ -7,7 +7,10 @@ configuration owns a salted substream, so the draws for a given fit, seed
 and correction kind are reproducible bit for bit, and the Gaussian draws
 underneath are shared between correction kinds.
 
-The per-configuration draws are independent tasks, run by
+This module alone decides how draws are made: it takes each
+configuration's Gaussian draws from :func:`gmrf.gmrf_blocks`, corrects
+them in blocks of ``_BLOCK_ROWS`` rows through :func:`sgc.forward_map`,
+and runs the per-configuration draws as independent tasks through
 :func:`parallel.map_tasks` on the cores the BLAS leaves idle (small calls
 stay in the calling process).  They are bit-identical however many
 processes ran them and whatever block size built them, at a fixed BLAS
@@ -26,8 +29,9 @@ import numpy as np
 from . import parallel
 from .engine import FitResult
 from .errors import InsufficientSamples
+from .gmrf import _BLOCK_ROWS, gmrf_blocks, sample_gmrf
 from .rng import SALT_CATEGORICAL, SALT_MIXTURE_BASE, stream
-from .sgc import CorrectionKind, as_kind, full_conditional_blocks, maps_in_blocks
+from .sgc import CorrectionKind, as_kind, forward_map
 from .skewnormal import default_table
 
 
@@ -95,16 +99,22 @@ def sample_joint(
     and the underlying Gaussian draws row for row.
 
     Each configuration that received rows is one task, heaviest first.  A
-    task walks its draws block by block (:func:`sgc.full_conditional_blocks`)
-    and writes each corrected block straight into its rows of the output
-    array, which lives in shared memory, so no draws cross a pipe.  Calls
-    with fewer than ``_POOL_MIN_ELEMENTS`` output elements run in this
-    process, if their draws are corrected block by block
-    (:func:`sgc.maps_in_blocks`).
+    task takes its Gaussian draws from :func:`gmrf.gmrf_blocks`, corrects
+    them ``_BLOCK_ROWS`` rows at a time through one :func:`sgc.forward_map`,
+    while they are still in cache, and writes each corrected block straight
+    into its rows of the output array, which lives in shared memory, so no
+    draws cross a pipe.  Calls with fewer than ``_POOL_MIN_ELEMENTS`` output
+    elements run in this process.
+
+    The exact skew map (``use_table=False``) is the exception: it pays
+    about a millisecond per call and per distinct skewness, so it corrects
+    all of a configuration's rows in one block, drawn by :func:`sample_gmrf`,
+    and uses the pool at every size.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     kind = as_kind(kind)
+    exact = kind is CorrectionKind.SKEW and not use_table
     if kind is CorrectionKind.SKEW and use_table:
         default_table()  # built here, so pool children inherit the cached table
     config = _assign_configs(fit.weights, count, seed)
@@ -113,18 +123,19 @@ def sample_joint(
 
     def draw(k: int) -> None:
         rows = np.flatnonzero(config == k)
-        for start, block in full_conditional_blocks(
-            fit.sgc(k),
-            int(sizes[k]),
-            seed,
-            kind,
-            use_table=use_table,
-            salt=SALT_MIXTURE_BASE + k,
-        ):
-            out[rows[start : start + block.shape[0]]] = block
+        fc = fit.sgc(k)
+        forward = forward_map(fc, kind, use_table)
+        salt = SALT_MIXTURE_BASE + k
+        if exact:
+            out[rows] = forward(sample_gmrf(fc.mu, fc.precision, rows.size, seed, salt=salt))
+            return
+        for start, x in gmrf_blocks(fc.mu, fc.precision, rows.size, seed, salt):
+            for i in range(0, x.shape[0], _BLOCK_ROWS):
+                block = x[i : i + _BLOCK_ROWS]
+                out[rows[start + i : start + i + block.shape[0]]] = forward(block)
 
     tasks = sorted(np.flatnonzero(sizes).tolist(), key=lambda k: -sizes[k])
-    if out.size < _POOL_MIN_ELEMENTS and maps_in_blocks(kind, use_table):
+    if out.size < _POOL_MIN_ELEMENTS and not exact:
         for k in tasks:
             draw(k)
     else:

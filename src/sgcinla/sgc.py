@@ -22,14 +22,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .errors import BoundaryEvaluation, DimensionMismatch, InvalidSpec, SkewnessOutOfRange
-from .gmrf import _BLOCK_ROWS, _LOG_2PI, PrecisionMatrix, gmrf_blocks, sample_gmrf
-from .rng import SALT_GMRF
+from .gmrf import _LOG_2PI, PrecisionMatrix
 from .skewnormal import (
     GAMMA_ATTAINABLE,
-    _groups,
     default_table,
     sn_cdf,
     sn_params_from_moments,
@@ -132,15 +130,16 @@ def forward_transform(
     skew correction degenerates to the mean correction bit for bit.
     """
     x = _check_state(fc, x)
-    return _forward_map(fc, kind, use_table)(x)
+    return forward_map(fc, kind, use_table)(x)
 
 
-def _forward_map(fc: FullConditionalSGC, kind, use_table: bool):
+def forward_map(fc: FullConditionalSGC, kind, use_table: bool):
     """:func:`forward_transform` of ``fc`` as a function of the states alone.
 
     Everything that depends on ``fc`` and the kind alone (the identity
     columns, table rows and per-column constants) is settled here once, so
     a sampler can map its draws block by block at no extra cost per block.
+    The states are not checked; :func:`forward_transform` checks them.
     """
     kind = as_kind(kind)
     shift = fc.mutilde - fc.mu
@@ -161,7 +160,7 @@ def _forward_map(fc: FullConditionalSGC, kind, use_table: bool):
     if use_table:
         rows = rows[mapped]
     else:
-        groups = list(_groups(fc.gamma[mapped]))
+        gamma = fc.gamma[mapped]
 
     def apply(x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
@@ -170,9 +169,7 @@ def _forward_map(fc: FullConditionalSGC, kind, use_table: bool):
         if use_table:
             g = table.map_rows(rows, z)
         else:
-            g = np.empty_like(z)
-            for gamma, cols in groups:
-                g[..., cols] = standardized_map_direct(gamma, z[..., cols])
+            g = standardized_map_direct(np.broadcast_to(gamma, z.shape), z)
         out[..., mapped] = mutilde + sigma * g
         return out
 
@@ -246,36 +243,25 @@ def jacobian_terms(fc: FullConditionalSGC, u) -> JacobianTerms:
     return JacobianTerms(delta=delta, gauss_dev=dev, clipped=clipped)
 
 
-def log_density_improved_gaussian(fc: FullConditionalSGC, u, kind=CorrectionKind.MEAN):
-    """Log density of the Gaussian approximation, optionally mean-shifted.
-
-    With ``mean`` the Gaussian keeps its precision but is centered on the
-    refined marginal means; with ``none`` it is the plain approximation.
-    """
-    u = _check_state(fc, u)
-    kind = as_kind(kind)
-    if kind is CorrectionKind.SKEW:
-        raise InvalidSpec("use log_density_sgc for the skew-corrected density")
-    center = fc.mutilde if kind is CorrectionKind.MEAN else fc.mu
-    fac = fc.precision.factor()
-    quad = fac.quad_form(u - center)
-    return -0.5 * fc.dim * _LOG_2PI + 0.5 * fac.log_det - 0.5 * quad
-
-
 def log_density_sgc(fc: FullConditionalSGC, u, kind=CorrectionKind.SKEW):
     """Log density of the corrected approximation at states ``u``.
 
-    The skew-corrected density combines the Gaussian copula quadratic form
-    in the back-transformed deviations with the marginal Jacobian factors:
+    With ``none`` it is the Gaussian approximation; with ``mean`` the
+    Gaussian keeps its precision but is centered on the refined marginal
+    means.  The skew-corrected density combines the Gaussian copula
+    quadratic form in the back-transformed deviations with the marginal
+    Jacobian factors:
 
     -dim/2 log 2 pi + 1/2 log|Q| - 1/2 t' Q t + sum_i log delta_i.
     """
-    kind = as_kind(kind)
-    if kind is not CorrectionKind.SKEW:
-        return log_density_improved_gaussian(fc, u, kind)
     u = _check_state(fc, u)
-    jt = jacobian_terms(fc, u)
+    kind = as_kind(kind)
     fac = fc.precision.factor()
+    if kind is not CorrectionKind.SKEW:
+        center = fc.mutilde if kind is CorrectionKind.MEAN else fc.mu
+        quad = fac.quad_form(u - center)
+        return -0.5 * fc.dim * _LOG_2PI + 0.5 * fac.log_det - 0.5 * quad
+    jt = jacobian_terms(fc, u)
     quad = fac.quad_form(jt.gauss_dev)
     with np.errstate(divide="ignore"):
         log_jac = np.sum(np.log(jt.delta), axis=-1)
@@ -294,50 +280,3 @@ def correction_delta(fc: FullConditionalSGC) -> float:
     with np.errstate(divide="ignore"):
         log_jac = float(np.sum(np.log(jt.delta)))
     return 0.5 * quad - log_jac
-
-
-def maps_in_blocks(kind, use_table: bool) -> bool:
-    """Whether :func:`full_conditional_blocks` corrects its draws block by block.
-
-    Every correction but the exact skew map costs a little per row.  The
-    exact map pays about a millisecond per call and per distinct skewness,
-    so it corrects all rows in one block.
-    """
-    return use_table or as_kind(kind) is not CorrectionKind.SKEW
-
-
-def full_conditional_blocks(
-    fc: FullConditionalSGC, count: int, seed: int, kind, use_table: bool, salt: int
-):
-    """Yield ``(start, draws)`` blocks of :func:`sample_full_conditional`'s rows.
-
-    The Gaussian draws (:func:`gmrf_blocks`) are corrected at most
-    ``_BLOCK_ROWS`` rows at a time, while they are still in cache, unless
-    :func:`maps_in_blocks` says the correction goes in one block.
-    """
-    forward = _forward_map(fc, kind, use_table)
-    if not maps_in_blocks(kind, use_table):
-        yield 0, forward(sample_gmrf(fc.mu, fc.precision, count, seed, salt=salt))
-        return
-    for start, x in gmrf_blocks(fc.mu, fc.precision, count, seed, salt):
-        for i in range(0, x.shape[0], _BLOCK_ROWS):
-            yield start + i, forward(x[i : i + _BLOCK_ROWS])
-
-
-def sample_full_conditional(
-    fc: FullConditionalSGC,
-    count: int,
-    seed: int,
-    kind=CorrectionKind.SKEW,
-    use_table: bool = True,
-):
-    """Draw corrected-posterior samples for one configuration.
-
-    All kinds share the same underlying Gaussian draws for a given seed, so
-    corrections are directly comparable path by path; the mean and skew
-    kinds agree bit for bit wherever the skewness rounds to zero.
-    """
-    out = np.empty((max(count, 0), fc.dim))
-    for start, block in full_conditional_blocks(fc, count, seed, kind, use_table, SALT_GMRF):
-        out[start : start + block.shape[0]] = block
-    return out

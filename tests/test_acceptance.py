@@ -34,7 +34,6 @@ from sgcinla.sgc import (
     correction_delta,
     inverse_transform,
     jacobian_terms,
-    log_density_improved_gaussian,
     log_density_sgc,
 )
 from sgcinla.skewnormal import (
@@ -267,7 +266,7 @@ def test_05_jacobian_and_density_self_consistency():
         mu=[0.1, -0.3], precision=PrecisionMatrix(q),
         mutilde=[0.35, -0.05], gamma=[0.45, -0.3], sigma=sigma,
     )
-    gap = log_density_improved_gaussian(skewed, skewed.mu, kind="none") - log_density_sgc(
+    gap = log_density_sgc(skewed, skewed.mu, kind="none") - log_density_sgc(
         skewed, skewed.mu
     )
     assert correction_delta(skewed) == pytest.approx(gap, abs=1e-10)

@@ -489,14 +489,14 @@ def test_only_configurations_with_rows_become_tasks(poisson_fit, monkeypatch):
                         minlength=poisson_fit.n_config)
     assert np.any(sizes == 0) and np.count_nonzero(sizes) > 1
     calls = []
-    real = sampler.full_conditional_blocks
+    real = sampler.gmrf_blocks
 
-    def record(fc, n, seed, kind, **kwargs):
-        calls.append((kwargs["salt"] - rng.SALT_MIXTURE_BASE, n))
-        return real(fc, n, seed, kind, **kwargs)
+    def record(mean, q, n, seed, salt):
+        calls.append((salt - rng.SALT_MIXTURE_BASE, n))
+        return real(mean, q, n, seed, salt)
 
     _force_workers(monkeypatch, 1)
-    monkeypatch.setattr(sampler, "full_conditional_blocks", record)
+    monkeypatch.setattr(sampler, "gmrf_blocks", record)
     sample_joint(poisson_fit, count, seed)
     assert sorted(k for k, _ in calls) == np.flatnonzero(sizes).tolist()
     assert all(n == sizes[k] for k, n in calls)
@@ -531,8 +531,8 @@ def test_children_use_the_table_built_by_the_parent(poisson_fit, monkeypatch):
 def test_child_exception_keeps_its_type(poisson_fit, monkeypatch):
     _force_workers(monkeypatch, 2)
     draw_error = IndexOutOfRange("draw in a child")
-    monkeypatch.setattr(sampler, "full_conditional_blocks",
-                        _failing_in_children(sampler.full_conditional_blocks, draw_error))
+    monkeypatch.setattr(sampler, "gmrf_blocks",
+                        _failing_in_children(sampler.gmrf_blocks, draw_error))
     with pytest.raises(IndexOutOfRange, match="draw in a child"):
         sample_joint(poisson_fit, 3000, seed=21)
     assert multiprocessing.active_children() == []

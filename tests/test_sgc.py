@@ -7,7 +7,7 @@ from scipy.special import ndtri
 
 from sgcinla import rng
 from sgcinla.errors import BoundaryEvaluation, DimensionMismatch, InvalidSpec, SkewnessOutOfRange
-from sgcinla.gmrf import PrecisionMatrix
+from sgcinla.gmrf import PrecisionMatrix, sample_gmrf
 from sgcinla.sgc import (
     CDF_CLIP,
     CorrectionKind,
@@ -17,9 +17,7 @@ from sgcinla.sgc import (
     forward_transform,
     inverse_transform,
     jacobian_terms,
-    log_density_improved_gaussian,
     log_density_sgc,
-    sample_full_conditional,
 )
 from sgcinla.skewnormal import sn_cdf, sn_params_from_moments, sn_pdf, standardized_map_direct
 
@@ -189,7 +187,7 @@ def test_log_density_hand_value():
         gamma=[0.0, 0.0],
         sigma=[1.0, 1.0],
     )
-    val = log_density_improved_gaussian(fc, np.array([1.0, 2.0]))
+    val = log_density_sgc(fc, np.array([1.0, 2.0]), kind="mean")
     assert val == pytest.approx(-np.log(2 * np.pi) - 2.5, abs=1e-12)
 
 
@@ -218,8 +216,6 @@ def test_log_density_mean_kind_recenters():
     at_mutilde = log_density_sgc(fc, fc.mutilde, kind="mean")
     fac = fc.precision.factor()
     assert at_mutilde == pytest.approx(-np.log(2 * np.pi) + 0.5 * fac.log_det, abs=1e-12)
-    with pytest.raises(InvalidSpec):
-        log_density_improved_gaussian(fc, fc.mu, kind="skew")
 
 
 def test_correction_delta_reduces_to_quadratic_shift():
@@ -231,7 +227,7 @@ def test_correction_delta_reduces_to_quadratic_shift():
 
 def test_correction_delta_matches_density_gap_at_mean():
     fc = make_pair()
-    gap = log_density_improved_gaussian(fc, fc.mu, kind="none") - log_density_sgc(fc, fc.mu)
+    gap = log_density_sgc(fc, fc.mu, kind="none") - log_density_sgc(fc, fc.mu)
     assert correction_delta(fc) == pytest.approx(gap, abs=1e-10)
 
 
@@ -242,7 +238,7 @@ def test_correction_delta_matches_density_gap_at_mean():
 
 def test_sampling_reaches_target_moments():
     fc = make_pair()
-    draws = sample_full_conditional(fc, 200000, seed=7, kind="skew")
+    draws = forward_transform(fc, sample_gmrf(fc.mu, fc.precision, 200000, 7), "skew")
     np.testing.assert_allclose(draws.mean(axis=0), fc.mutilde, atol=0.02)
     np.testing.assert_allclose(draws.std(axis=0, ddof=1), fc.sigma, atol=0.02)
     np.testing.assert_allclose(stats.skew(draws, axis=0), fc.gamma, atol=0.03)
@@ -250,23 +246,23 @@ def test_sampling_reaches_target_moments():
 
 def test_sampling_mean_kind_recenters_only():
     fc = make_pair()
-    base = sample_full_conditional(fc, 500, seed=3, kind="none")
-    shifted = sample_full_conditional(fc, 500, seed=3, kind="mean")
+    base = forward_transform(fc, sample_gmrf(fc.mu, fc.precision, 500, 3), "none")
+    shifted = forward_transform(fc, sample_gmrf(fc.mu, fc.precision, 500, 3), "mean")
     assert np.array_equal(shifted, base + (fc.mutilde - fc.mu))
 
 
 def test_skew_degenerates_to_mean_bitwise():
     for gamma in ([0.0, 0.0], [1e-4, -2e-3]):  # exact zero and rounds-to-zero
         fc = make_pair(gamma)
-        a = sample_full_conditional(fc, 1000, seed=7, kind="mean")
-        b = sample_full_conditional(fc, 1000, seed=7, kind="skew")
+        a = forward_transform(fc, sample_gmrf(fc.mu, fc.precision, 1000, 7), "mean")
+        b = forward_transform(fc, sample_gmrf(fc.mu, fc.precision, 1000, 7), "skew")
         assert np.array_equal(a, b)
 
 
 def test_sampling_is_reproducible():
     fc = make_pair()
-    a = sample_full_conditional(fc, 100, seed=21, kind="skew")
-    b = sample_full_conditional(fc, 100, seed=21, kind="skew")
-    c = sample_full_conditional(fc, 100, seed=22, kind="skew")
+    a = forward_transform(fc, sample_gmrf(fc.mu, fc.precision, 100, 21), "skew")
+    b = forward_transform(fc, sample_gmrf(fc.mu, fc.precision, 100, 21), "skew")
+    c = forward_transform(fc, sample_gmrf(fc.mu, fc.precision, 100, 22), "skew")
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
