@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -76,20 +76,23 @@ SUMMARY_COLUMNS = ("Index", "Mean", "Sd", "0.025quant", "0.5quant", "0.975quant"
 # -- model configuration -------------------------------------------------
 
 
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in a file; InvalidSpec if the file cannot be read,
+    is not JSON or holds something other than an object."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as err:
+        raise InvalidSpec(f"cannot read {what} {path}: {err}") from None
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        raise InvalidSpec(f"{what} {path} is not valid JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"{what} {path}: the root must be a JSON object")
+    return doc
+
+
 def load_config(path) -> dict:
     """Parse a JSON model config; schema errors surface as InvalidSpec."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise InvalidSpec(f"cannot read config {path}: {err}") from None
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise InvalidSpec(f"config {path} is not valid JSON: {err}") from None
-    if not isinstance(config, dict):
-        raise InvalidSpec("config root must be a JSON object")
-    return config
+    return _read_json_object(path, "config")
 
 
 def _data_from_csv(entry: dict, base: Path):
@@ -115,24 +118,29 @@ def _data_from_csv(entry: dict, base: Path):
     y = column(response)
     cov_names = tuple(entry.get("covariates", ()))
     covariates = np.column_stack([column(c) for c in cov_names]) if cov_names else None
-    group = column(entry["group"]).astype(int) if "group" in entry else None
+    group = column(entry["group"]) if "group" in entry else None
     trials = column(entry["trials"]) if "trials" in entry else None
     return y, covariates, cov_names, group, trials
 
 
 def _data_inline(entry: dict):
-    try:
-        y = np.asarray(entry["y"], dtype=float)
-    except KeyError:
-        raise InvalidSpec("inline data needs a 'y' array") from None
+    # ModelSpec converts and checks the values
+    if "y" not in entry:
+        raise InvalidSpec("inline data needs a 'y' array")
     cov = entry.get("covariates") or {}
     if not isinstance(cov, dict):
         raise InvalidSpec("inline covariates must map names to arrays")
     cov_names = tuple(cov)
-    covariates = np.column_stack([np.asarray(cov[c], dtype=float) for c in cov_names]) if cov_names else None
-    group = np.asarray(entry["group"], dtype=int) if "group" in entry else None
-    trials = np.asarray(entry["trials"], dtype=float) if "trials" in entry else None
-    return y, covariates, cov_names, group, trials
+    try:
+        covariates = np.column_stack([cov[c] for c in cov_names]) if cov_names else None
+    except ValueError as err:
+        raise InvalidSpec(f"inline covariates must be arrays of one length: {err}") from None
+    return entry["y"], covariates, cov_names, entry.get("group"), entry.get("trials")
+
+
+#: Top-level config keys handed to ModelSpec as they are; ModelSpec
+#: converts them and supplies the default of any the config leaves out.
+_CONFIG_SETTINGS = ("intercept", "tau_beta", "re_prior", "tau_epsilon")
 
 
 def spec_from_config(config: dict, base=".") -> ModelSpec:
@@ -166,12 +174,8 @@ def spec_from_config(config: dict, base=".") -> ModelSpec:
         covariate_names=cov_names,
         trials=trials,
         group=group,
-        intercept=bool(config.get("intercept", True)),
-        tau_beta=config.get("tau_beta", 0.001),
-        re_prior=tuple(config.get("re_prior", (0.1, 0.1))),
     )
-    if "tau_epsilon" in config:
-        kwargs["tau_epsilon"] = float(config["tau_epsilon"])
+    kwargs.update((key, config[key]) for key in _CONFIG_SETTINGS if key in config)
     spec = ModelSpec(**kwargs)
 
     if config.get("sum_to_zero", False):
@@ -187,43 +191,21 @@ def spec_from_config(config: dict, base=".") -> ModelSpec:
 
 
 def _spec_payload(spec: ModelSpec) -> dict:
-    family = {"name": spec.family.name}
-    if spec.family.name == "gaussian":
-        family["tau"] = spec.family.tau
-    return {
-        "family": family,
-        "y": spec.y,
-        "covariates": spec.covariates,
-        "covariate_names": list(spec.covariate_names),
-        "trials": spec.trials,
-        "group": spec.group,
-        "n_groups": spec.n_groups,
-        "intercept": spec.intercept,
-        "tau_beta": spec.tau_beta,
-        "re_prior": list(spec.re_prior),
-        "tau_epsilon": spec.tau_epsilon,
-        "constraints": [(con.C, con.e) for con in spec.constraints],
-    }
+    # one key per ModelSpec field, in field order
+    payload = {f.name: getattr(spec, f.name) for f in fields(ModelSpec)}
+    payload["family"] = {"name": spec.family.name, **vars(spec.family)}
+    payload["constraints"] = [(con.C, con.e) for con in spec.constraints]
+    return payload
 
 
 def _spec_from_payload(payload: dict) -> ModelSpec:
     # ModelSpec and LinearConstraint turn the lists into arrays
+    if set(payload) != {f.name for f in fields(ModelSpec)}:
+        raise InvalidSpec(f"the spec holds fields {sorted(payload)}, not ModelSpec's")
     fam = dict(payload["family"])
     family = make_family(fam.pop("name"), **fam)
-    return ModelSpec(
-        family=family,
-        y=payload["y"],
-        covariates=payload["covariates"],
-        covariate_names=tuple(payload["covariate_names"]),
-        trials=payload["trials"],
-        group=payload["group"],
-        n_groups=payload["n_groups"],
-        intercept=payload["intercept"],
-        tau_beta=payload["tau_beta"],
-        re_prior=tuple(payload["re_prior"]),
-        tau_epsilon=payload["tau_epsilon"],
-        constraints=tuple(LinearConstraint(c, e) for c, e in payload["constraints"]),
-    )
+    constraints = [LinearConstraint(c, e) for c, e in payload["constraints"]]
+    return ModelSpec(**dict(payload, family=family, constraints=constraints))
 
 
 def save_fit(path, fit: FitResult) -> None:
@@ -231,10 +213,7 @@ def save_fit(path, fit: FitResult) -> None:
     payload = {
         "format": FIT_FORMAT,
         "spec": _spec_payload(fit.spec),
-        "grid": [
-            {"theta": pt.theta, "log_posterior": pt.log_posterior, "weight": pt.weight}
-            for pt in fit.grid
-        ],
+        "grid": [vars(pt) for pt in fit.grid],
         "approximations": [
             {
                 "mean": ga.mean,
@@ -269,8 +248,7 @@ def load_fit(path) -> FitResult:
     try:
         spec = _spec_from_payload(payload["spec"])
         grid = [
-            GridPoint(np.asarray(g["theta"], dtype=float), g["log_posterior"], g["weight"])
-            for g in payload["grid"]
+            GridPoint(**dict(g, theta=np.asarray(g["theta"], dtype=float))) for g in payload["grid"]
         ]
         approximations = []
         for pt, a in zip(grid, payload["approximations"]):
@@ -340,33 +318,18 @@ def read_a_matrix(path) -> np.ndarray:
 
 def write_joint_summary(path, summary: JointMomentSummary) -> None:
     """Joint moment summary as JSON with full round-trip precision."""
-    doc = {
-        "names": list(summary.names),
-        "mean": summary.mean.tolist(),
-        "cov": summary.cov.tolist(),
-        "skewness": summary.skewness.tolist(),
-        "clamped": summary.clamped,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    doc = json.dumps(asdict(summary), indent=2, default=lambda v: v.tolist())
+    Path(path).write_text(doc + "\n")
 
 
 def read_joint_summary(path) -> JointMomentSummary:
+    """Read a summary written by :func:`write_joint_summary`.  A file with
+    unknown, missing or unconvertible fields raises InvalidSpec."""
+    doc = _read_json_object(path, "summary")
     try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as err:
-        raise InvalidSpec(f"cannot read summary {path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise InvalidSpec(f"summary {path} is not valid JSON: {err}") from None
-    try:
-        return JointMomentSummary(
-            names=tuple(doc["names"]),
-            mean=np.asarray(doc["mean"], dtype=float),
-            cov=np.asarray(doc["cov"], dtype=float),
-            skewness=np.asarray(doc["skewness"], dtype=float),
-            clamped=int(doc.get("clamped", 0)),
-        )
-    except KeyError as err:
-        raise InvalidSpec(f"summary {path} is missing field {err}") from None
+        return JointMomentSummary(**doc)
+    except (TypeError, ValueError) as err:
+        raise InvalidSpec(f"summary {path} is malformed: {err}") from None
 
 
 # -- run manifests -------------------------------------------------------

@@ -475,9 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--components", default="", help="comma-separated latent indices")
     p_cmp.add_argument("--count", type=int, default=20000, help="corrected-sampler draws")
     p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--chains", type=int, default=4)
-    p_cmp.add_argument("--burn", type=int, default=2000)
-    p_cmp.add_argument("--keep", type=int, default=5000)
+    p_cmp.add_argument("--chains", type=int, default=ChainConfig.chains)
+    p_cmp.add_argument("--burn", type=int, default=ChainConfig.burn)
+    p_cmp.add_argument("--keep", type=int, default=ChainConfig.keep)
     p_cmp.set_defaults(func=cmd_compare_mcmc)
 
     p_bench = sub.add_parser("bench-quantile", help="skew-normal fast-path benchmark")

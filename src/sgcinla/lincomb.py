@@ -40,6 +40,20 @@ class JointMomentSummary:
     skewness: np.ndarray
     clamped: int = 0
 
+    def __post_init__(self):
+        # float64 arrays are kept, not copied
+        self.names = tuple(self.names)
+        self.mean = np.asarray(self.mean, dtype=float)
+        self.cov = np.asarray(self.cov, dtype=float)
+        self.skewness = np.asarray(self.skewness, dtype=float)
+        self.clamped = int(self.clamped)
+        p = len(self.names)
+        if self.mean.shape != (p,) or self.skewness.shape != (p,) or self.cov.shape != (p, p):
+            raise InvalidSpec(
+                f"{p} names need a mean and skewness of shape ({p},) and a ({p}, {p}) "
+                f"covariance, not {self.mean.shape}, {self.skewness.shape} and {self.cov.shape}"
+            )
+
     @property
     def dim(self) -> int:
         return self.mean.size
@@ -70,7 +84,7 @@ def _mix_moments(weights, means, covs, thirds):
     # enumerate alone, not over zip(w, covs): zip's cached result tuple would
     # hold one more (p, p) array while the next configuration is formed
     for k, cov_k in enumerate(covs):
-        var_k[k] = np.diagonal(cov_k)
+        var_k[k] = cov_k.diagonal()
         cov += w[k] * cov_k
     cov += np.einsum("k,ki,kj->ij", w, dev, dev)
     third = w @ (thirds + 3.0 * dev * var_k + dev**3)
@@ -81,9 +95,9 @@ def _check_finite(means, spreads, skewness) -> None:
     """Refuse non-finite inputs before any arithmetic on them: a non-finite
     mean or spread raises InvalidSpec and a non-finite skewness
     SkewnessOutOfRange, as the sampler does for the same fit."""
-    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(spreads))):
+    if not (np.isfinite(means).all() and np.isfinite(spreads).all()):
         raise InvalidSpec("means and variances must be finite")
-    if not np.all(np.isfinite(skewness)):
+    if not np.isfinite(skewness).all():
         raise SkewnessOutOfRange("skewness must be finite")
 
 
@@ -101,13 +115,13 @@ def _joint_summary(weights, means, covs, thirds, names) -> JointMomentSummary:
     if len(out_names) != p:
         raise DimensionMismatch("one name per combination row is required")
     mean, cov, third = _mix_moments(weights, means, covs, thirds)
-    var = np.diag(cov)
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
+    var = cov.diagonal()
+    if not (np.isfinite(mean).all() and np.isfinite(var).all()):
         raise InvalidSpec("combination means and variances must be finite")
-    if not np.all(var > 0):
+    if not (var > 0).all():
         raise DimensionMismatch("a row of the combination matrix has zero variance")
     skew = third / var**1.5
-    if not np.all(np.isfinite(skew)):
+    if not np.isfinite(skew).all():
         raise SkewnessOutOfRange("combination skewness must be finite")
     clamped = np.clip(skew, -GAMMA_CLAMP, GAMMA_CLAMP)
     count = int(np.count_nonzero(clamped != skew))

@@ -104,17 +104,6 @@ def metropolis_componentwise(logpost, x0: np.ndarray, config: ChainConfig, seed:
     return draws, kept_acc / (config.keep * chains)
 
 
-def _core_names(spec: ModelSpec) -> tuple:
-    names = []
-    if spec.intercept:
-        names.append("intercept")
-    names.extend(f"beta_{c}" for c in spec.covariate_names)
-    names.extend(f"u_{l + 1}" for l in range(spec.n_groups))
-    if spec.n_hyper:
-        names.append("log_tau_u")
-    return tuple(names)
-
-
 def make_core_logpost(spec: ModelSpec):
     """Vectorized log posterior of (beta, u, log tau_u) from the generative story."""
     b = spec.fixed_design()
@@ -188,23 +177,20 @@ class ReferenceRun:
         return self.pooled()[:, -1:]
 
 
-def run_reference(
-    spec: ModelSpec, config: ChainConfig | None = None, seed: int = 0
-) -> ReferenceRun:
+def run_reference(spec: ModelSpec, config: ChainConfig, seed: int) -> ReferenceRun:
     """Run the reference sampler on a model specification.
 
     Chains start from zero coordinates jittered chain by chain, so
     convergence diagnostics across chains are meaningful.
     """
-    config = config if config is not None else ChainConfig()
     dim = spec.n_fixed + spec.n_groups + spec.n_hyper
     gen = stream(seed, SALT_MCMC_BASE + 1)
     x0 = 0.5 * gen.standard_normal((config.chains, dim))
     logpost = make_core_logpost(spec)
     draws, accept = metropolis_componentwise(logpost, x0, config, seed)
-    return ReferenceRun(
-        spec=spec, draws=draws, names=_core_names(spec), accept_rate=accept, seed=seed
-    )
+    # the core parameters are the latent field after eta, then log tau_u
+    names = spec.component_names[spec.n_obs :] + ("log_tau_u",) * spec.n_hyper
+    return ReferenceRun(spec=spec, draws=draws, names=names, accept_rate=accept, seed=seed)
 
 
 # ---------------------------------------------------------------------------

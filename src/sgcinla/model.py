@@ -153,6 +153,17 @@ class ModelSpec:
     constraints: tuple = ()
 
     def __post_init__(self):
+        try:
+            self._convert_fields()
+        except (TypeError, ValueError) as err:
+            raise InvalidSpec(f"malformed model value: {err}") from None
+        self.family.validate(self.y, self.trials)
+        if self.n_fixed == 0 and self.n_groups == 0:
+            raise InvalidSpec("model has no latent structure beyond the predictor noise")
+
+    def _convert_fields(self):
+        """Convert and check every field in place.  A value that does not
+        convert raises TypeError or ValueError; the checks raise InvalidSpec."""
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
         if y.ndim != 1 or y.size == 0:
             raise InvalidSpec("y must be a nonempty vector")
@@ -193,6 +204,7 @@ class ModelSpec:
             object.__setattr__(self, "n_groups", m)
         else:
             object.__setattr__(self, "n_groups", 0)
+        object.__setattr__(self, "intercept", bool(self.intercept))
 
         p = self.n_fixed
         tb = np.atleast_1d(np.asarray(self.tau_beta, dtype=float))
@@ -209,8 +221,10 @@ class ModelSpec:
             raise InvalidSpec("Gamma prior parameters must be positive")
         object.__setattr__(self, "re_prior", (float(a), float(b)))
 
-        if self.tau_epsilon <= 0:
+        tau_epsilon = float(self.tau_epsilon)
+        if tau_epsilon <= 0:
             raise InvalidSpec("tau_epsilon must be positive")
+        object.__setattr__(self, "tau_epsilon", tau_epsilon)
 
         cons = tuple(self.constraints)
         for con in cons:
@@ -219,10 +233,6 @@ class ModelSpec:
                     f"constraint acts on dimension {con.dim}, latent field has {self.n_latent}"
                 )
         object.__setattr__(self, "constraints", cons)
-
-        self.family.validate(self.y, self.trials)
-        if p == 0 and self.n_groups == 0:
-            raise InvalidSpec("model has no latent structure beyond the predictor noise")
 
     # -- derived sizes ---------------------------------------------------
 

@@ -78,10 +78,9 @@ def _shared_array(shape: tuple[int, int]) -> np.ndarray:
 # N=61 fit, 3000 rows (1.8e5 elements) 21 against 39 ms, 1e4 rows (6.1e5)
 # 56 against 55 ms, 2e4 rows (1.2e6) 106 against 91 ms; N=241 fit, 3000
 # rows (7.2e5) 47 against 64 ms, 5000 rows (1.2e6) 85 against 77 ms.  Draws
-# that are not corrected block by block (sgc.maps_in_blocks: the exact skew
-# map, which costs per call) keep the pool at every size: 50 rows of the
-# N=61 fit take 115 ms in-process and 102 ms on two workers, 1e4 rows 653
-# against 452 ms.
+# that are not corrected block by block (the exact skew map, which costs per
+# call) keep the pool at every size: 50 rows of the N=61 fit take 115 ms
+# in-process and 102 ms on two workers, 1e4 rows 653 against 452 ms.
 _POOL_MIN_ELEMENTS = 1_000_000
 
 

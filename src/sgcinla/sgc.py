@@ -160,7 +160,10 @@ def forward_map(fc: FullConditionalSGC, kind, use_table: bool):
     if use_table:
         rows = rows[mapped]
     else:
-        gamma = fc.gamma[mapped]
+        # the mapped columns grouped by skewness, once: one exact quantile
+        # solve per distinct value, over every row of its columns
+        values, which = np.unique(fc.gamma[mapped], return_inverse=True)
+        groups = [(float(v), np.flatnonzero(which == i)) for i, v in enumerate(values)]
 
     def apply(x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
@@ -169,7 +172,9 @@ def forward_map(fc: FullConditionalSGC, kind, use_table: bool):
         if use_table:
             g = table.map_rows(rows, z)
         else:
-            g = standardized_map_direct(np.broadcast_to(gamma, z.shape), z)
+            g = np.empty_like(z)
+            for value, cols in groups:
+                g[..., cols] = standardized_map_direct(value, z[..., cols])
         out[..., mapped] = mutilde + sigma * g
         return out
 

@@ -3,9 +3,11 @@
 import csv
 import json
 import pickle
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
+from scipy import special
 
 from sgcinla import rng
 from sgcinla.artifacts import (
@@ -24,7 +26,9 @@ from sgcinla.artifacts import (
 from sgcinla.cli import main
 from sgcinla.engine import fit_model
 from sgcinla.errors import InvalidSpec, SkewnessOutOfRange
+from sgcinla.gmrf import LinearConstraint
 from sgcinla.lincomb import JointMomentSummary
+from sgcinla.model import ModelSpec, make_family
 from sgcinla.sampler import sample_joint, summarize
 
 
@@ -86,6 +90,26 @@ def test_csv_data_source(tmp_path):
     reference = spec_from_config(poisson_config())
     assert np.array_equal(spec.y, reference.y)
     assert np.array_equal(spec.group, reference.group)
+
+
+FRACTIONAL_GROUPS = np.repeat([0.5, 1.7, 2.2, 3.0, 4.0, 5.0], 5).tolist()
+
+
+def test_fractional_group_ids_are_refused(tmp_path):
+    inline = poisson_config()
+    inline["data"]["group"] = FRACTIONAL_GROUPS
+    from_csv = poisson_config()
+    lines = ["y,g"] + [f"{yi},{gi}" for yi, gi in zip(from_csv["data"]["y"], FRACTIONAL_GROUPS)]
+    (tmp_path / "counts.csv").write_text("\n".join(lines) + "\n")
+    from_csv["data"] = {"csv": "counts.csv", "response": "y", "group": "g"}
+    for name, config in (("inline", inline), ("csv", from_csv)):
+        with pytest.raises(InvalidSpec, match="integer"):
+            spec_from_config(config, tmp_path)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"out-{name}"
+        assert main(["fit", "--config", str(path), "--out", str(out)]) == 2
+        assert not (out / "fit.bin").exists()
 
 
 def test_sum_to_zero_adds_constraint():
@@ -204,6 +228,70 @@ def test_save_load_save_gives_the_same_bytes(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
 
+def _binomial_spec():
+    """Every ModelSpec field but the family's arguments away from its default."""
+    gen = rng.stream(31)
+    group = np.repeat(np.arange(3), 4)
+    trials = np.full(12, 6.0)
+    covariates = gen.normal(size=(12, 2))
+    y = gen.binomial(6, special.expit(0.3 * covariates[:, 0] + gen.normal(size=3)[group]))
+    n_latent = 12 + 2 + 5
+    total, pair = np.zeros((1, n_latent)), np.zeros((1, n_latent))
+    total[0, 14:] = 1.0
+    pair[0, [17, 18]] = 1.0
+    return dict(
+        family=make_family("binomial"), y=y, covariates=covariates,
+        covariate_names=("dose", "age"), trials=trials, group=group, n_groups=5,
+        intercept=False, tau_beta=[0.5, 2.0], re_prior=(2.0, 0.5), tau_epsilon=1e6,
+        constraints=(LinearConstraint(total, [0.0]), LinearConstraint(pair, [0.2])),
+    )
+
+
+def _gaussian_spec():
+    """The family's arguments away from their defaults."""
+    z = rng.stream(32).normal(size=10)
+    return dict(family=make_family("gaussian", tau=2.5), y=1.0 - z, covariates=z)
+
+
+def _plain(value):
+    """A field value as nested lists, with each array's dtype and each
+    object's type, so that == compares two values exactly."""
+    if isinstance(value, np.ndarray):
+        return [str(value.dtype), value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [type(value).__name__, [_plain(v) for v in value]]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if hasattr(value, "__dict__"):  # likelihood families and constraints
+        return [type(value).__name__, _plain(vars(value))]
+    return [type(value).__name__, value]
+
+
+def test_the_round_trip_specs_set_every_field():
+    """Together the two specs below set every ModelSpec field away from its
+    default, so a field that the fit file drops fails the round trip."""
+    given = [_binomial_spec(), _gaussian_spec()]
+    for f in fields(ModelSpec):
+        assert any(f.name in kwargs for kwargs in given), f.name
+        if f.default is not MISSING:
+            assert any(
+                f.name in kwargs and _plain(kwargs[f.name]) != _plain(f.default) for kwargs in given
+            ), f.name
+    assert vars(given[1]["family"]) != vars(make_family("gaussian"))
+
+
+@pytest.mark.parametrize("kwargs", [_binomial_spec, _gaussian_spec], ids=["binomial", "gaussian"])
+def test_every_spec_field_survives_the_fit_file(tmp_path, kwargs):
+    spec = ModelSpec(**kwargs())
+    first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+    save_fit(first, fit_model(spec))
+    loaded = load_fit(first).spec
+    for f in fields(ModelSpec):
+        assert _plain(getattr(loaded, f.name)) == _plain(getattr(spec, f.name)), f.name
+    save_fit(second, load_fit(first))
+    assert first.read_bytes() == second.read_bytes()
+
+
 class _CreatesFile:
     """Unpickling this object creates the file at ``path``."""
 
@@ -257,6 +345,8 @@ def test_load_fit_rejects_foreign_files(tmp_path):
     del missing_key["mutilde"]
     missing_spec_key = json.loads(text)
     del missing_spec_key["spec"]["y"]
+    extra_spec_key = json.loads(text)
+    extra_spec_key["spec"]["offset"] = 0.0
     bad = {
         "garbage": b"GARBAGE!" + b"\x00" * 16,
         "truncated": text[: len(text) // 2].encode(),
@@ -265,6 +355,7 @@ def test_load_fit_rejects_foreign_files(tmp_path):
         "no-format": json.dumps({k: v for k, v in doc.items() if k != "format"}).encode(),
         "missing-key": json.dumps(missing_key).encode(),
         "missing-spec-key": json.dumps(missing_spec_key).encode(),
+        "extra-spec-key": json.dumps(extra_spec_key).encode(),
         "not-an-object": b"[1, 2, 3]",
         "wrong-type": json.dumps(dict(doc, grid=5)).encode(),
     }

@@ -445,3 +445,59 @@ def test_sample_outputs_equal_with_and_without_the_pool(poisson_run, tmp_path):
         written[workers] = [(run_dir / name).read_bytes()
                             for name in ("samples-skew.csv", "summary-skew.csv")]
     assert written[2] == written[1]
+
+
+def _config(data=None, **settings):
+    config = {"family": "poisson", "data": {"y": [1, 0, 2, 3, 1, 4], "group": [0, 0, 1, 1, 2, 2]}}
+    config["data"].update(data or {})
+    config.update(settings)
+    return config
+
+
+def _summary(**changes):
+    doc = {"names": ["x1", "x2"], "mean": [1.0, 2.0], "cov": [[2.0, 1.0], [1.0, 5.0]],
+           "skewness": [-0.4, 0.6]}
+    doc.update(changes)
+    return doc
+
+
+# Malformed values in a model config or a joint-summary file.  Unchecked,
+# most ended in a traceback and exit code 1; the unknown field was ignored
+# and the fractional group ids fit silently as groups 0, 1 and 2.
+MALFORMED_INPUTS = {
+    "config-string-response": ("fit", _config({"y": ["a", 2, 2, 3, 1, 4]})),
+    "config-one-prior-value": ("fit", _config(re_prior=[1.0])),
+    "config-string-tau-beta": ("fit", _config(tau_beta="abc")),
+    "config-fractional-groups": ("fit", _config({"group": [0.5, 0.5, 1.7, 1.7, 2.2, 2.2]})),
+    "config-ragged-covariates": (
+        "fit", _config({"covariates": {"a": [1, 2, 3, 4, 5, 6], "b": [1, 2]}})
+    ),
+    "summary-root-list": ("lincomb", [1.0, 2.0]),
+    "summary-string-mean": ("lincomb", _summary(mean=["a", 2.0])),
+    "summary-1x2-cov": ("lincomb", _summary(cov=[[2.0, 1.0]])),
+    "summary-unknown-field": ("lincomb", _summary(median=[1.0, 2.0])),
+    "summary-missing-field": ("lincomb", {"names": ["x1", "x2"], "mean": [1.0, 2.0]}),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_INPUTS)
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, name):
+    verb, doc = MALFORMED_INPUTS[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if verb == "fit":
+        argv = ["fit", "--config", str(path), "--out", str(out)]
+    else:
+        weights = tmp_path / "a.csv"
+        weights.write_text("1,1\n1,-1\n")
+        argv = ["lincomb", "--out", str(out), "--a-matrix", str(weights), "--summary", str(path)]
+    done = subprocess.run(
+        [sys.executable, "-m", "sgcinla.cli", *argv], env=_package_env(os.environ),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert not (out / "fit.bin").exists() and not list(out.glob("lincomb-*"))

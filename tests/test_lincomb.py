@@ -125,6 +125,27 @@ def test_transform_clamps_unattainable_skewness():
     assert out.clamped == 1
 
 
+def test_summary_converts_its_fields_without_copying_float_arrays():
+    mean, cov, skew = np.array([1.0, 2.0]), np.array([[2.0, 1.0], [1.0, 5.0]]), np.zeros(2)
+    s = JointMomentSummary(names=["a", "b"], mean=mean, cov=cov, skewness=skew, clamped=np.int64(1))
+    assert s.mean is mean and s.cov is cov and s.skewness is skew
+    assert s.names == ("a", "b") and type(s.clamped) is int
+    from_lists = JointMomentSummary(names=("a",), mean=[1], cov=[[2]], skewness=[0])
+    assert from_lists.mean.dtype == from_lists.cov.dtype == from_lists.skewness.dtype == float
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("mean", np.zeros(3)), ("cov", np.ones((1, 2))), ("skewness", np.zeros((2, 1))),
+     ("names", ("a",))],
+)
+def test_summary_refuses_fields_whose_shapes_disagree(field, value):
+    kwargs = dataclasses.asdict(worked_summary())
+    kwargs[field] = value
+    with pytest.raises(InvalidSpec):
+        JointMomentSummary(**kwargs)
+
+
 def test_transform_shape_validation():
     with pytest.raises(DimensionMismatch):
         transform_moments(worked_summary(), np.ones((1, 3)))
