@@ -64,7 +64,7 @@ from .engine import FitResult, GaussianApprox, GridPoint
 from .errors import InvalidSpec
 from .gmrf import LinearConstraint
 from .lincomb import JointMomentSummary
-from .model import ModelSpec, assemble_precision, make_family
+from .model import ModelSpec, as_flag, assemble_precision, make_family
 
 #: The ``"format"`` field of a fit file in the layout this module writes.
 FIT_FORMAT = "sgcinla-fit-3"
@@ -178,7 +178,7 @@ def spec_from_config(config: dict, base=".") -> ModelSpec:
     kwargs.update((key, config[key]) for key in _CONFIG_SETTINGS if key in config)
     spec = ModelSpec(**kwargs)
 
-    if config.get("sum_to_zero", False):
+    if as_flag("sum_to_zero", config.get("sum_to_zero", False)):
         if not spec.n_groups:
             raise InvalidSpec("sum_to_zero requires a grouped random effect")
         row = np.zeros((1, spec.n_latent))

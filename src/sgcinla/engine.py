@@ -20,9 +20,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import optimize
-from scipy.integrate import trapezoid
-from scipy.interpolate import CubicSpline
 
 from . import parallel
 from .errors import IndexOutOfRange, ModeSearchFailure, NoConvergence
@@ -234,6 +231,8 @@ def _grid_from_logpost(logpost) -> list[GridPoint]:
     search moves every grid point and weight, and with them every fit and the
     recorded benchmark reference.
     """
+    from scipy import optimize  # only a fit searches; its import takes 0.12 s on 2 vCPUs
+
     res = optimize.minimize(lambda t: -logpost(t), np.zeros(1), method="BFGS")
     mode = np.atleast_1d(res.x)
     if not np.isfinite(res.fun):
@@ -364,6 +363,14 @@ def _conditional_mode(spec: ModelSpec, q: PrecisionMatrix, i: int, value, x_star
     raise NoConvergence(f"conditional mode search for component {i} did not converge")
 
 
+def _cubic_spline():
+    """scipy's ``CubicSpline``, imported on first use: only a refinement
+    splines, and ``scipy.interpolate`` takes 0.15-0.2 s to import on 2 vCPUs."""
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline
+
+
 def refine_marginal(spec: ModelSpec, approx: GaussianApprox, i: int) -> MarginalRefinement:
     """Laplace-refined marginal of latent component ``i``, moment-matched.
 
@@ -415,14 +422,14 @@ def refine_marginal(spec: ModelSpec, approx: GaussianApprox, i: int) -> Marginal
         raise NoConvergence(f"marginal refinement for component {i} lost too many nodes")
     flagged = dropped > 0.2 * nodes.size
 
-    spline = CubicSpline(nodes[good], log_vals[good] - np.max(log_vals[good]))
+    spline = _cubic_spline()(nodes[good], log_vals[good] - np.max(log_vals[good]))
     xs = np.linspace(nodes[good][0], nodes[good][-1], REFINE_FINE_POINTS)
     dens = np.exp(spline(xs))
-    mass = trapezoid(dens, xs)
+    mass = np.trapezoid(dens, xs)
     dens /= mass
-    mean = trapezoid(xs * dens, xs)
-    var = trapezoid((xs - mean) ** 2 * dens, xs)
-    third = trapezoid((xs - mean) ** 3 * dens, xs)
+    mean = np.trapezoid(xs * dens, xs)
+    var = np.trapezoid((xs - mean) ** 2 * dens, xs)
+    third = np.trapezoid((xs - mean) ** 3 * dens, xs)
     gamma = third / var**1.5 if var > 0 else 0.0
     gamma = float(np.clip(gamma, -GAMMA_CLAMP, GAMMA_CLAMP))
     return MarginalRefinement(
@@ -567,6 +574,8 @@ def fit_model(spec: ModelSpec, components: np.ndarray | None = None) -> FitResul
 
     todo = np.arange(big_n) if components is None else np.asarray(components, dtype=int)
     tasks = [(k, int(i)) for k in range(k_count) for i in todo]
+    if tasks:
+        _cubic_spline()  # imported here, the pool's children inherit it
     refinements = parallel.map_tasks(partial(_refine_task, spec, approxes), tasks)
     for (k, i), ref in zip(tasks, refinements):
         if ref is None:

@@ -115,6 +115,14 @@ def make_family(name: str, **kwargs):
     return cls(**kwargs)
 
 
+def as_flag(name: str, value) -> bool:
+    """``value`` as a bool; anything but a Python or NumPy bool raises
+    InvalidSpec, so that the JSON string "false" is not read as true."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidSpec(f"{name} must be true or false, not {value!r}")
+    return bool(value)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Validated model description.
@@ -131,7 +139,7 @@ class ModelSpec:
     trials : optional array of binomial trial counts (defaults to 1).
     group : optional length-n integer array with values in [0, n_groups)
         mapping observations to iid random-effect levels.
-    intercept : include an intercept column (default True).
+    intercept : include an intercept column (a bool, default True).
     tau_beta : prior precision for the fixed effects; scalar or one value
         per fixed effect (intercept first).
     re_prior : (a, b) of the Gamma prior on the random-effect precision.
@@ -204,7 +212,7 @@ class ModelSpec:
             object.__setattr__(self, "n_groups", m)
         else:
             object.__setattr__(self, "n_groups", 0)
-        object.__setattr__(self, "intercept", bool(self.intercept))
+        object.__setattr__(self, "intercept", as_flag("intercept", self.intercept))
 
         p = self.n_fixed
         tb = np.atleast_1d(np.asarray(self.tau_beta, dtype=float))

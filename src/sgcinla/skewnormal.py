@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtr, ndtri, owens_t
 
 from .errors import DimensionMismatch, SkewnessOutOfRange
@@ -292,6 +291,50 @@ TABLE_Z_NODES = np.concatenate([[-6.0, -5.0, -4.0], np.linspace(-3.5, 3.5, 55), 
 TABLE_Z_NODES.setflags(write=False)
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """scipy's ``PchipInterpolator._edge_case``: the one-sided three-point
+    slope, zeroed where its sign differs from the end secant's and capped at
+    three secants where the secants change sign."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flip = np.sign(d) != np.sign(m0)
+    cap = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(flip, 0.0, np.where(cap, 3.0 * m0, d))
+
+
+def _pchip(x, y):
+    """Coefficients and end slopes of the PCHIP of every row of ``y`` over ``x``.
+
+    The slopes at the nodes are ``PchipInterpolator._find_derivatives``'s and
+    the cubic coefficients ``CubicHermiteSpline``'s, each expression in
+    scipy's order, so both equal scipy's bit for bit.  Returns ``coeffs``,
+    (power, row, cell) with the highest power first, and ``slopes``, (row, 2):
+    the derivative at ``x[0]`` and ``x[-1]`` summed as ``PPoly`` evaluates
+    it, ((0 + c2) + 2 c1 s) + 3 c0 (s s), in the first and the last cell.
+    ``x`` needs at least 3 nodes.
+    """
+    h = np.diff(x)
+    m = np.diff(y, axis=1) / h
+    # interior: weighted harmonic mean of the neighbouring secants, or 0
+    # where they differ in sign or one is flat
+    sign = np.sign(m)
+    flat = (sign[:, 1:] != sign[:, :-1]) | (m[:, 1:] == 0) | (m[:, :-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:, :-1] + w2 / m[:, 1:]) / (w1 + w2)
+        inner = np.where(flat, 0.0, 1.0 / whmean)
+    d = np.zeros_like(y)
+    d[:, 1:-1] = inner
+    d[:, 0] = _pchip_end_slope(h[0], h[1], m[:, 0], m[:, 1])
+    d[:, -1] = _pchip_end_slope(h[-1], h[-2], m[:, -1], m[:, -2])
+    t = (d[:, :-1] + d[:, 1:] - 2 * m) / h
+    coeffs = np.stack((t / h, (m - d[:, :-1]) / h - t, d[:, :-1], y[:, :-1]))
+    s = np.array([0.0, h[-1]])
+    ends = coeffs[:, :, [0, -1]]
+    slopes = ((0.0 + ends[2]) + (2.0 * ends[1]) * s) + (3.0 * ends[0]) * (s * s)
+    return coeffs, slopes
+
+
 class QuantileTable:
     """Tabulated correction maps over a regular skewness grid.
 
@@ -311,14 +354,17 @@ class QuantileTable:
             raise DimensionMismatch("table needs an odd gamma count and matching node rows")
         self._half = n_gamma // 2
         self.gammas = np.round((np.arange(n_gamma) - self._half) * self.gamma_step, 10)
+        if self.z_nodes.size < 3:
+            raise DimensionMismatch("a table needs at least 3 nodes")
+        if not (np.all(np.isfinite(self.z_nodes)) and np.all(np.isfinite(self.values))):
+            raise ValueError("table nodes and values must be finite")
+        if np.any(np.diff(self.z_nodes) <= 0.0):
+            raise ValueError("table nodes must be strictly increasing")
         if np.any(np.diff(self.values, axis=1) <= 0.0):
             raise ValueError("tabulated maps must be strictly increasing")
-        # every row's cubic at once: the same coefficients as one build per row
-        cubic = PchipInterpolator(self.z_nodes, self.values, axis=1)
-        self._slopes = cubic.derivative()(self.z_nodes[[0, -1]])
-        # (power, row, cell), highest power first; the constant term is stored
-        # as 0.0 + c, the first step of PPoly's sum (it turns -0.0 into 0.0)
-        self._coeffs = np.ascontiguousarray(cubic.c.transpose(0, 2, 1))
+        self._coeffs, self._slopes = _pchip(self.z_nodes, self.values)
+        # the constant term is stored as 0.0 + c, the first step of PPoly's
+        # sum (it turns -0.0 into 0.0)
         self._coeffs[3] += 0.0
         # O(1) cell lookup: buckets at most half the smallest node gap wide,
         # so a bucket holds at most one node and a point's cell is its

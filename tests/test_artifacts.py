@@ -122,6 +122,23 @@ def test_sum_to_zero_adds_constraint():
     assert row[spec.n_obs + spec.n_fixed :].sum() == spec.n_groups
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_sum_to_zero_must_be_a_bool(value):
+    config = poisson_config()
+    config["sum_to_zero"] = value
+    with pytest.raises(InvalidSpec, match="sum_to_zero must be true or false"):
+        spec_from_config(config)
+
+
+def test_config_intercept_must_be_a_bool():
+    config = poisson_config()
+    config["intercept"] = "false"
+    with pytest.raises(InvalidSpec, match="intercept must be true or false"):
+        spec_from_config(config)
+    config["intercept"] = False
+    assert spec_from_config(config).n_fixed == 0
+
+
 def test_config_error_reporting(tmp_path):
     with pytest.raises(InvalidSpec):
         load_config(tmp_path / "absent.json")

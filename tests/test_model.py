@@ -89,6 +89,17 @@ def test_spec_requires_some_structure():
         ModelSpec(family=make_family("poisson"), y=[1.0, 2.0], intercept=False)
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
+def test_intercept_must_be_a_bool(value):
+    with pytest.raises(InvalidSpec, match="intercept must be true or false"):
+        ModelSpec(family=make_family("poisson"), y=[1.0, 2.0], group=[0, 1], intercept=value)
+
+
+def test_intercept_takes_a_numpy_bool():
+    spec = ModelSpec(family=make_family("poisson"), y=[1.0, 2.0], group=[0, 1], intercept=np.False_)
+    assert spec.intercept is False and spec.n_fixed == 0
+
+
 def test_group_indices_validated():
     with pytest.raises(InvalidSpec):
         ModelSpec(

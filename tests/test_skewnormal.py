@@ -455,6 +455,60 @@ def test_map_agrees_with_phi_inverse_definition():
 
 
 # ---------------------------------------------------------------------------
+# the table's PCHIP against scipy's PchipInterpolator, its former build
+# ---------------------------------------------------------------------------
+
+
+def _scipy_pchip(nodes, values):
+    """``_coeffs`` and ``_slopes`` as scipy's ``PchipInterpolator`` gives them."""
+    cubic = PchipInterpolator(nodes, values, axis=1)
+    coeffs = np.ascontiguousarray(cubic.c.transpose(0, 2, 1))
+    coeffs[3] += 0.0
+    return coeffs, cubic.derivative()(nodes[[0, -1]])
+
+
+def _random_rows(seed):
+    """3-40 uneven nodes and 1, 3 or 5 strictly increasing rows whose secants
+    range from flat to steep."""
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(3, 41))
+    nodes = np.cumsum(gen.uniform(0.1, 1.0, size=n)) - 3.0
+    rows = int(2 * gen.integers(0, 3) + 1)
+    steps = np.exp(gen.uniform(-6.0, 3.0, size=(rows, n - 1)))
+    return nodes, np.cumsum(np.column_stack([gen.normal(size=rows), steps]), axis=1)
+
+
+def _same_pchip(table) -> bool:
+    coeffs, slopes = _scipy_pchip(table.z_nodes, table.values)
+    return _same_bits(table._coeffs, coeffs) and _same_bits(table._slopes, slopes)
+
+
+def test_default_table_pchip_equals_scipy_bit_for_bit():
+    assert _same_pchip(QuantileTable.build())
+
+
+def test_random_table_pchips_equal_scipy_bit_for_bit():
+    zero_ends = 0
+    for seed in range(300):
+        table = QuantileTable(0.01, *_random_rows(seed))
+        assert _same_pchip(table), seed
+        zero_ends += int(np.sum(table._slopes == 0.0))
+    # steep rows: the one-sided end slope changes sign and is set to zero
+    steep = QuantileTable(0.01, np.array([0.0, 0.5, 1.0, 3.0]), np.array([[0.0, 0.01, 9.0, 9.5]]))
+    assert _same_pchip(steep) and steep._slopes[0, 0] == 0.0
+    assert zero_ends > 0
+
+
+def test_table_refuses_what_pchip_cannot_build():
+    with pytest.raises(DimensionMismatch):
+        QuantileTable(0.01, np.array([0.0, 1.0]), np.array([[0.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        QuantileTable(0.01, np.array([0.0, 1.0, 2.0]), np.array([[0.0, np.nan, 2.0]]))
+    with pytest.raises(ValueError, match="nodes"):
+        QuantileTable(0.01, np.array([0.0, 2.0, 1.0]), np.array([[0.0, 1.0, 2.0]]))
+
+
+# ---------------------------------------------------------------------------
 # the O(1) table kernel against scipy's PPoly, its former evaluation
 # ---------------------------------------------------------------------------
 
