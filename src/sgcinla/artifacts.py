@@ -251,7 +251,7 @@ def load_fit(path) -> FitResult:
             GridPoint(**dict(g, theta=np.asarray(g["theta"], dtype=float))) for g in payload["grid"]
         ]
         approximations = []
-        for pt, a in zip(grid, payload["approximations"]):
+        for pt, a in zip(grid, payload["approximations"], strict=True):
             prior = assemble_precision(spec, pt.theta)
             curvature = np.asarray(a["curvature"], dtype=float)
             approximations.append(

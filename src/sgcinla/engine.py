@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from . import parallel
-from .errors import IndexOutOfRange, ModeSearchFailure, NoConvergence
+from .errors import DimensionMismatch, IndexOutOfRange, ModeSearchFailure, NoConvergence
 from .gmrf import (
     _LOG_2PI,
     LinearConstraint,
@@ -466,6 +466,19 @@ class FitResult:
     names: list[str]
     warnings: list[str] = field(default_factory=list)
     _covariance_stack: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Raise DimensionMismatch unless K grid points, K approximations of
+        N means and curvatures, (K, N) arrays and N names agree."""
+        k = len(self.grid)
+        n = len(self.names) if self.spec is None else self.spec.n_latent
+        shapes = [np.shape(a) for a in (self.mutilde, self.sigma, self.gamma)]
+        shapes.append((len(self.approximations), len(self.names)))
+        shapes += [(k, *np.shape(v)) for ga in self.approximations for v in (ga.mean, ga.curvature)]
+        if any(shape != (k, n) for shape in shapes):
+            raise DimensionMismatch(
+                f"fit parts disagree in shape: {sorted(set(shapes))}, all should be {(k, n)}"
+            )
 
     @property
     def n_config(self) -> int:

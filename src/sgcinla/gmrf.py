@@ -182,10 +182,6 @@ class LinearConstraint:
         object.__setattr__(self, "e", e)
 
     @property
-    def k(self) -> int:
-        return self.C.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.C.shape[1]
 
@@ -220,13 +216,13 @@ def apply_constraints(x: np.ndarray, q: PrecisionMatrix, con: LinearConstraint) 
     return v - (qict @ lam).T.reshape(v.shape)
 
 
-# Rows per block of Gaussian draws under a one-thread BLAS: a block of normals
-# and its solve stay in the per-core cache, and sampler.sample_joint corrects
-# each block while it is still there.  A multi-threaded BLAS solves all rows
-# at once: each block's solve waits for every BLAS thread, and with the
-# default two threads and the second of two cores busy, 1e5 draws at N=61
-# took 0.48 s in blocks against 0.25 s in one solve.  sample_joint still
-# corrects the rows of one solve in blocks of this size.
+# Rows per block of Gaussian draws; gmrf_blocks alone sizes the blocks.
+# Under a one-thread BLAS each block is solved on its own, so the block and
+# its solve stay in the per-core cache while sampler.sample_joint corrects
+# them.  A multi-threaded BLAS solves all rows at once, since each block's
+# solve waits for every BLAS thread (with the default two threads and the
+# second of two cores busy, 1e5 draws at N=61 took 0.48 s in blocks against
+# 0.25 s in one solve), and that solve is still yielded in blocks.
 _BLOCK_ROWS = 512
 
 
@@ -235,15 +231,16 @@ def gmrf_blocks(
 ):
     """Yield ``(start, draws)`` for ``count`` unconstrained draws from N(mean, Q^-1).
 
-    The rows come in blocks of ``_BLOCK_ROWS`` when the BLAS runs one
-    thread (:func:`parallel.blas_threads`), else in one block, in order and
-    all from one stream, so their concatenation is :func:`sample_gmrf`'s
-    result.  Each block solves L.T x = z for its own normals, passed in the
-    same transposed layout as a one-shot solve, and every column of a solve
-    with two or more columns comes out as in the one-shot solve, at a fixed
-    BLAS thread count.  A solve of one column takes another BLAS path whose
-    bits differ, so a last block of one row joins the block before it; only
-    a one-row draw is solved alone, as it is in one shot.
+    The rows come in order in blocks of ``_BLOCK_ROWS``, all from one
+    stream, so their concatenation is :func:`sample_gmrf`'s result.  Under a
+    one-thread BLAS (:func:`parallel.blas_threads`) each block solves
+    L.T x = z for its own normals, in the same transposed layout as a
+    one-shot solve, and every column of a solve with two or more columns
+    comes out as in the one-shot solve, at a fixed BLAS thread count.  A
+    one-column solve takes another BLAS path whose bits differ, so a last
+    block of one row joins the block before it; only a one-row draw is
+    solved alone, as in one shot.  With more BLAS threads the blocks are
+    views of one solve of all rows.
     """
     mu = np.asarray(mean, dtype=float)
     if mu.shape != (q.dim,):
@@ -252,15 +249,15 @@ def gmrf_blocks(
         raise ValueError("count must be nonnegative")
     fac = q.factor()
     gen = stream(seed, salt)
-    size = _BLOCK_ROWS if parallel.blas_threads() == 1 else count
-    start = 0
-    while start < count:
-        rows = count - start
-        if rows != size + 1:
-            rows = min(rows, size)
-        z = gen.standard_normal((rows, q.dim))
-        yield start, mu + fac.half_solve_t(z.T).T
-        start += rows
+    starts = range(0, count - 1 if count > 1 else count, _BLOCK_ROWS)
+    spans = zip(starts, [*starts[1:], count])
+    if parallel.blas_threads() == 1:
+        for start, stop in spans:
+            yield start, mu + fac.half_solve_t(gen.standard_normal((stop - start, q.dim)).T).T
+    elif count:
+        x = mu + fac.half_solve_t(gen.standard_normal((count, q.dim)).T).T
+        for start, stop in spans:
+            yield start, x[start:stop]
 
 
 def sample_gmrf(
@@ -291,8 +288,9 @@ def sample_gmrf(
     """
     draws = np.empty((max(count, 0), q.dim))
     for start, block in gmrf_blocks(mean, q, count, seed, salt):
-        if block.shape[0] == count:
-            draws = block
+        solve = block if block.base is None else block.base  # blocks may view one solve
+        if solve.shape[0] == count:
+            draws = solve
         else:
             draws[start : start + block.shape[0]] = block
     if constraint is not None:

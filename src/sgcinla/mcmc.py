@@ -147,10 +147,6 @@ class ReferenceRun:
     def chains(self) -> int:
         return self.draws.shape[0]
 
-    @property
-    def kept(self) -> int:
-        return self.draws.shape[1]
-
     def pooled(self) -> np.ndarray:
         return self.draws.reshape(-1, self.draws.shape[2])
 

@@ -7,16 +7,15 @@ configuration owns a salted substream, so the draws for a given fit, seed
 and correction kind are reproducible bit for bit, and the Gaussian draws
 underneath are shared between correction kinds.
 
-This module alone decides how draws are made: it takes each
-configuration's Gaussian draws from :func:`gmrf.gmrf_blocks`, corrects
-them in blocks of ``_BLOCK_ROWS`` rows through :func:`sgc.forward_map`,
-and runs the per-configuration draws as independent tasks through
-:func:`parallel.map_tasks` on the cores the BLAS leaves idle (small calls
-stay in the calling process).  They are bit-identical however many
-processes ran them and whatever block size built them, at a fixed BLAS
-thread count.  Summaries are computed in the calling process; their kernel
-modes evaluate the exact density only at the few grid points that a binned
-bound leaves in contention.
+This module alone decides how draws are made: for every correction kind
+it corrects each block that :func:`gmrf.gmrf_blocks` yields (it alone sizes
+them) through :func:`sgc.forward_map`, and runs the per-configuration draws
+as independent tasks through :func:`parallel.map_tasks` on the cores the
+BLAS leaves idle (small calls stay in the calling process), bit-identical
+however many processes ran them and whatever block size built them, at a
+fixed BLAS thread count.  Summaries are computed in the calling process;
+their kernel modes evaluate the exact density only at the few grid points
+that a binned bound leaves in contention.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 from . import parallel
 from .engine import FitResult
 from .errors import InsufficientSamples
-from .gmrf import _BLOCK_ROWS, gmrf_blocks, sample_gmrf
+from .gmrf import gmrf_blocks
 from .rng import SALT_CATEGORICAL, SALT_MIXTURE_BASE, stream
 from .sgc import CorrectionKind, as_kind, forward_map
 from .skewnormal import default_table
@@ -72,15 +71,12 @@ def _shared_array(shape: tuple[int, int]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, nbytes), dtype=float).reshape(shape)
 
 
-# Draws with fewer elements (rows times dimension) than this run in the
-# calling process, because a fork pool costs about 20 ms to start.  Medians
-# of 7 calls, one BLAS thread, in-process against 2 workers on 2 cores:
-# N=61 fit, 3000 rows (1.8e5 elements) 21 against 39 ms, 1e4 rows (6.1e5)
-# 56 against 55 ms, 2e4 rows (1.2e6) 106 against 91 ms; N=241 fit, 3000
-# rows (7.2e5) 47 against 64 ms, 5000 rows (1.2e6) 85 against 77 ms.  Draws
-# that are not corrected block by block (the exact skew map, which costs per
-# call) keep the pool at every size: 50 rows of the N=61 fit take 115 ms
-# in-process and 102 ms on two workers, 1e4 rows 653 against 452 ms.
+# Draws of any kind with fewer elements (rows times dimension) than this run
+# in the calling process, because a fork pool costs about 20 ms to start.
+# Medians of 7 calls, one BLAS thread, in-process against 2 workers on 2
+# cores: N=61 fit, 3000 rows (1.8e5 elements) 21 against 39 ms, 1e4 rows
+# (6.1e5) 56 against 55 ms, 2e4 rows (1.2e6) 106 against 91 ms; N=241 fit,
+# 3000 rows (7.2e5) 47 against 64 ms, 5000 rows (1.2e6) 85 against 77 ms.
 _POOL_MIN_ELEMENTS = 1_000_000
 
 
@@ -98,22 +94,17 @@ def sample_joint(
     and the underlying Gaussian draws row for row.
 
     Each configuration that received rows is one task, heaviest first.  A
-    task takes its Gaussian draws from :func:`gmrf.gmrf_blocks`, corrects
-    them ``_BLOCK_ROWS`` rows at a time through one :func:`sgc.forward_map`,
-    while they are still in cache, and writes each corrected block straight
-    into its rows of the output array, which lives in shared memory, so no
-    draws cross a pipe.  Calls with fewer than ``_POOL_MIN_ELEMENTS`` output
-    elements run in this process.
-
-    The exact skew map (``use_table=False``) is the exception: it pays
-    about a millisecond per call and per distinct skewness, so it corrects
-    all of a configuration's rows in one block, drawn by :func:`sample_gmrf`,
-    and uses the pool at every size.
+    task corrects each block that :func:`gmrf.gmrf_blocks` yields through
+    one :func:`sgc.forward_map`, while it is still in cache, and writes it
+    straight into its rows of the output array, which lives in shared
+    memory, so no draws cross a pipe.  Every kind takes this walk; the exact
+    skew map (``use_table=False``) pays about a millisecond per block and
+    per distinct skewness for it.  Calls with fewer than
+    ``_POOL_MIN_ELEMENTS`` output elements run in this process.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     kind = as_kind(kind)
-    exact = kind is CorrectionKind.SKEW and not use_table
     if kind is CorrectionKind.SKEW and use_table:
         default_table()  # built here, so pool children inherit the cached table
     config = _assign_configs(fit.weights, count, seed)
@@ -125,16 +116,11 @@ def sample_joint(
         fc = fit.sgc(k)
         forward = forward_map(fc, kind, use_table)
         salt = SALT_MIXTURE_BASE + k
-        if exact:
-            out[rows] = forward(sample_gmrf(fc.mu, fc.precision, rows.size, seed, salt=salt))
-            return
         for start, x in gmrf_blocks(fc.mu, fc.precision, rows.size, seed, salt):
-            for i in range(0, x.shape[0], _BLOCK_ROWS):
-                block = x[i : i + _BLOCK_ROWS]
-                out[rows[start + i : start + i + block.shape[0]]] = forward(block)
+            out[rows[start : start + x.shape[0]]] = forward(x)
 
     tasks = sorted(np.flatnonzero(sizes).tolist(), key=lambda k: -sizes[k])
-    if out.size < _POOL_MIN_ELEMENTS and not exact:
+    if out.size < _POOL_MIN_ELEMENTS:
         for k in tasks:
             draw(k)
     else:

@@ -289,6 +289,9 @@ _SLICE_ELEMENTS = 16384
 TABLE_GAMMA_STEP = 0.01
 TABLE_Z_NODES = np.concatenate([[-6.0, -5.0, -4.0], np.linspace(-3.5, 3.5, 55), [4.0, 5.0, 6.0]])
 TABLE_Z_NODES.setflags(write=False)
+# Most lookup buckets a table may allocate: the default nodes need 186, and
+# a node gap 2**-15 of the nodes' span would need 2**16.
+TABLE_MAX_BUCKETS = 2**16
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -360,17 +363,20 @@ class QuantileTable:
             raise ValueError("table nodes and values must be finite")
         if np.any(np.diff(self.z_nodes) <= 0.0):
             raise ValueError("table nodes must be strictly increasing")
+        # O(1) cell lookup: buckets at most half the smallest node gap wide,
+        # so a bucket holds at most one node and a point's cell is its
+        # bucket's cell or a neighbour of it
+        x = self.z_nodes
+        with np.errstate(over="ignore"):  # an infinite count is refused below
+            buckets = np.ceil(2.0 * (x[-1] - x[0]) / np.min(np.diff(x)))
+        if not buckets <= TABLE_MAX_BUCKETS:
+            raise ValueError(f"table nodes need {buckets:.3g} lookup buckets, over the ceiling")
         if np.any(np.diff(self.values, axis=1) <= 0.0):
             raise ValueError("tabulated maps must be strictly increasing")
         self._coeffs, self._slopes = _pchip(self.z_nodes, self.values)
         # the constant term is stored as 0.0 + c, the first step of PPoly's
         # sum (it turns -0.0 into 0.0)
         self._coeffs[3] += 0.0
-        # O(1) cell lookup: buckets at most half the smallest node gap wide,
-        # so a bucket holds at most one node and a point's cell is its
-        # bucket's cell or a neighbour of it
-        x = self.z_nodes
-        buckets = int(np.ceil(2.0 * (x[-1] - x[0]) / np.min(np.diff(x))))
         self._per_width = buckets / (x[-1] - x[0])
         edges = x[0] + np.arange(buckets) / self._per_width
         self._bucket_cell = np.searchsorted(x, edges, side="right") - 1

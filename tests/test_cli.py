@@ -493,3 +493,37 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, name):
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
     assert not (out / "fit.bin").exists() and not list(out.glob("lincomb-*"))
+
+
+# A saved fit whose parts disagree in shape.  Unchecked, the missing
+# approximation ended `sample` in an IndexError traceback and let `lincomb`
+# exit 0 with a summary mixed from a never-written row; the short gamma rows
+# ended `lincomb` in a ValueError traceback.
+MALFORMED_FITS = {
+    "one-approximation-missing": lambda doc: doc["approximations"].pop(),
+    "gamma-rows-short": lambda doc: doc.update(gamma=[row[:-1] for row in doc["gamma"]]),
+}
+
+
+@pytest.mark.parametrize("verb", ["sample", "lincomb"])
+@pytest.mark.parametrize("damage", MALFORMED_FITS)
+def test_malformed_fit_exits_2_with_one_error_line(poisson_run, tmp_path, damage, verb):
+    _, out = poisson_run
+    doc = json.loads((out / "fit.bin").read_text())
+    MALFORMED_FITS[damage](doc)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "fit.bin").write_text(json.dumps(doc))
+    argv = ["sample", "--out", str(run), "--count", "200"]
+    if verb == "lincomb":
+        weights = tmp_path / "a.csv"
+        np.savetxt(weights, np.eye(len(doc["names"]))[:2], delimiter=",")
+        argv = ["lincomb", "--out", str(run), "--a-matrix", str(weights)]
+    done = subprocess.run(
+        [sys.executable, "-m", "sgcinla.cli", *argv], env=_package_env(os.environ),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert [p.name for p in run.iterdir()] == ["fit.bin"]

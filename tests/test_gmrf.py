@@ -221,18 +221,30 @@ def test_a_last_row_joins_the_block_before_it(monkeypatch):
 
 
 def test_a_multithreaded_blas_solves_in_one_block(monkeypatch):
-    # each block's solve would wait for every BLAS thread
+    # each block's solve would wait for every BLAS thread; the one solve
+    # still comes out in blocks
     q = PrecisionMatrix(np.eye(3))
-    sizes = lambda count: [b.shape[0] for _, b in gmrf.gmrf_blocks(np.zeros(3), q, count, 1)]
+    solves = []
+    real = gmrf.CholeskyFactor.half_solve_t
+    monkeypatch.setattr(
+        gmrf.CholeskyFactor, "half_solve_t", lambda fac, rhs: solves.append(1) or real(fac, rhs)
+    )
+
+    def sizes(count):
+        solves.clear()
+        return [b.shape[0] for _, b in gmrf.gmrf_blocks(np.zeros(3), q, count, 1)]
+
     for var in parallel._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert parallel.blas_threads() == 1
-    assert sizes(3 * _BLOCK) == [_BLOCK] * 3
+    assert sizes(3 * _BLOCK) == [_BLOCK] * 3 and len(solves) == 3
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert parallel.blas_threads() == 2
-    assert sizes(3 * _BLOCK) == [3 * _BLOCK]
-    assert sizes(0) == []
+    assert sizes(3 * _BLOCK) == [_BLOCK] * 3 and len(solves) == 1
+    assert sizes(3 * _BLOCK + 1) == [_BLOCK, _BLOCK, _BLOCK + 1] and len(solves) == 1
+    assert max(sizes(10 * _BLOCK + 77)) <= _BLOCK + 1 and len(solves) == 1
+    assert sizes(0) == [] and solves == []
 
 
 def test_apply_constraints_sum_to_zero():

@@ -1,6 +1,6 @@
-"""Every name a module imports is used in that module, every name a module
-defines is used somewhere, and a process imports the heavy scipy packages
-only when it fits."""
+"""Every name a module imports is used in that module, every name and
+method a module defines is used somewhere, and a process imports the heavy
+scipy packages only when it fits."""
 
 import ast
 import json
@@ -73,16 +73,17 @@ def definitions(tree) -> list:
     return defined
 
 
-def dead_definitions(modules: dict, readers: list) -> list[str]:
-    """Module-level names in ``modules`` (file name to source) that no source
-    in ``readers`` refers to outside the name's own definition."""
+def dead_definitions(modules: dict, readers: list, find=definitions, count=references) -> list[str]:
+    """Names that ``find`` defines in ``modules`` (file name to source) that no
+    source in ``readers`` refers to, as ``count`` counts references, outside
+    the name's own definition."""
     read = Counter()
     for source in readers:
-        read.update(references(ast.parse(source)))
+        read.update(count(ast.parse(source)))
     dead = []
     for name, source in modules.items():
-        for defined, node in definitions(ast.parse(source)):
-            if read[defined] - references(node)[defined] <= 0:
+        for defined, node in find(ast.parse(source)):
+            if read[defined] - count(node)[defined] <= 0:
                 dead.append(f"{name} line {node.lineno}: {defined}")
     return dead
 
@@ -103,6 +104,58 @@ def test_every_module_level_definition_is_used():
     assert len(READERS) > len(MODULES)
     modules = {p.name: p.read_text() for p in MODULES}
     assert dead_definitions(modules, [p.read_text() for p in READERS]) == []
+
+
+def attribute_reads(tree) -> Counter:
+    """How often each name is read in ``tree`` as ``x.name`` or named by a
+    string constant (a ``getattr`` name, say)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def methods(tree) -> list:
+    """(name, node) for each non-dunder method or property of a module-level class."""
+    return [
+        (node.name, node)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def dead_methods(modules: dict, readers: list) -> list[str]:
+    """Methods and properties that no reader reads as an attribute outside
+    their own bodies.  A bare name does not count: a local variable ``k``
+    keeps no ``.k`` alive."""
+    return dead_definitions(modules, readers, methods, attribute_reads)
+
+
+def test_the_check_finds_a_dead_method():
+    module = (
+        "class Box:\n"
+        "    def __init__(self, k):\n        self.k = k\n"
+        "    @property\n    def size(self):\n        return self.k\n"
+        "    @property\n    def spare(self):\n        return 0\n"
+        "    def walk(self, n):\n        return self.walk(n - 1) if n else 0\n"
+        "    def named(self):\n        return 1\n"
+    )
+    caller = (
+        "from module import Box\n"
+        "spare = walk = 2\nbox = Box(spare)\n"
+        "print(box.size, getattr(box, 'named')())\n"
+    )
+    found = dead_methods({"module.py": module}, [module, caller])
+    assert found == ["module.py line 8: spare", "module.py line 10: walk"]
+
+
+def test_every_method_is_used():
+    modules = {p.name: p.read_text() for p in MODULES}
+    assert dead_methods(modules, [p.read_text() for p in READERS]) == []
 
 
 # Only a fit searches (scipy.optimize) and splines (scipy.interpolate), only

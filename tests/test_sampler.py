@@ -14,10 +14,10 @@ import pytest
 from scipy import stats
 from scipy.interpolate import PchipInterpolator, PPoly
 
-from sgcinla import parallel, rng, sampler
+from sgcinla import gmrf, parallel, rng, sampler
 from sgcinla.engine import fit_model
 from sgcinla.errors import IndexOutOfRange, InsufficientSamples
-from sgcinla.gmrf import LinearConstraint
+from sgcinla.gmrf import LinearConstraint, PrecisionMatrix
 from sgcinla.lincomb import kld_1d
 from sgcinla.model import ModelSpec, make_family
 from sgcinla.sampler import (
@@ -418,8 +418,11 @@ def _one_shot_joint(fit, count, seed, kind, use_table):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "kind, use_table, count",
-    [("skew", True, 4000), ("skew", False, 1500), ("mean", True, 4000), ("none", True, 4000)],
-    ids=["skew-table", "skew-exact", "mean", "none"],
+    [
+        ("skew", True, 4000), ("skew", False, 1500), ("skew", False, 4000),
+        ("mean", True, 4000), ("none", True, 4000),
+    ],
+    ids=["skew-table", "skew-exact", "skew-exact-blocks", "mean", "none"],
 )
 @pytest.mark.parametrize("threads", [1, 2], ids=["blocks", "one-solve"])
 def test_blocked_draws_equal_one_shot_draws(
@@ -433,6 +436,16 @@ def test_blocked_draws_equal_one_shot_draws(
     assert np.array_equal(js.draws, _one_shot_joint(poisson_61_fit, count, 23, kind, use_table))
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_exact_blocks_case_spans_three_blocks(poisson_61_fit, monkeypatch, threads):
+    # the heaviest configuration of the 4000 exact draws above is corrected
+    # in three or more blocks, so the exact map's blocks are compared too
+    monkeypatch.setattr(parallel, "blas_threads", lambda: threads)
+    rows = np.bincount(_assign_configs(poisson_61_fit.weights, 4000, 23)).max()
+    q = PrecisionMatrix(np.eye(1))
+    assert len(list(gmrf.gmrf_blocks(np.zeros(1), q, int(rows), 0))) >= 3
+
+
 def test_small_calls_stay_in_process(poisson_fit, monkeypatch):
     dim = poisson_fit.mutilde.shape[1]
     pooled = []
@@ -443,9 +456,9 @@ def test_small_calls_stay_in_process(poisson_fit, monkeypatch):
     assert pooled == []
     sample_joint(poisson_fit, 300, seed=3)
     assert len(pooled) == 1
-    # the exact map is costly enough to pay for the pool at any size
+    # the exact map takes the same walk and the same rule
     sample_joint(poisson_fit, 20, seed=3, use_table=False)
-    assert len(pooled) == 2
+    assert len(pooled) == 1
     # the benchmark's draw sizes, N=61 and N=241, stay on the pool
     assert min(100_000 * 61, 20_000 * 241) >= sampler._POOL_MIN_ELEMENTS
 

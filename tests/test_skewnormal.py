@@ -508,6 +508,21 @@ def test_table_refuses_what_pchip_cannot_build():
         QuantileTable(0.01, np.array([0.0, 2.0, 1.0]), np.array([[0.0, 1.0, 2.0]]))
 
 
+def test_table_refuses_a_node_layout_with_too_many_buckets(monkeypatch):
+    # A node gap 1e-9 of the span would need 2e9 lookup buckets (16 GB of
+    # edges).  The refusal comes before the PCHIP is built; the stub keeps a
+    # table that lacked the refusal from ever reaching the allocation.
+    def unreachable(*args):
+        raise AssertionError("a refused layout reached the PCHIP")
+
+    widest = np.array([0.0, 1.0, skewnormal.TABLE_MAX_BUCKETS / 2])
+    assert QuantileTable(0.01, widest, np.array([[0.0, 1.0, 2.0]]))._bucket_cell.size == 2**16
+    monkeypatch.setattr(skewnormal, "_pchip", unreachable)
+    for nodes in ([0.0, 1.0, widest[-1] + 1.0], [0.0, 1e-9, 1.0], [0.0, 1e-300, 1e300]):
+        with pytest.raises(ValueError, match="buckets"):
+            QuantileTable(0.01, np.array(nodes), np.array([[0.0, 1.0, 2.0]]))
+
+
 # ---------------------------------------------------------------------------
 # the O(1) table kernel against scipy's PPoly, its former evaluation
 # ---------------------------------------------------------------------------
